@@ -1,31 +1,27 @@
 """Distinguishability sweeps: engine curves next to their closed forms,
-monotonicity verdicts, and golden-section refinement of interior extrema."""
+monotonicity verdicts, and refinement of interior extrema.
+
+Scenario parameters arrive as `angles`, `detectors` and the classical
+keywords; those left None take the scenario's defaults, and one the
+scenario does not use raises ValueError.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import models, projectors, transforms
+import numpy as np
+
+from . import models, projectors
 from .models import GAMMA_MAX, ScenarioId
 from .projectors import DetectorModel, ProjectorAngles
 
 DEFAULT_STEPS = 101
 MONOTONICITY_TOL = 1e-9
 EXTREMUM_GAMMA_TOL = 1e-10
-
-_DEFAULT_THETA1 = 0.0
-_DEFAULT_THETA2 = math.pi / 4
-_DEFAULT_AMPLITUDE = 2.0
-
-_ANGLE_SCENARIOS = (
-    ScenarioId.SINGLE_DELIBERATE,
-    ScenarioId.SINGLE_LOSS,
-    ScenarioId.SINGLE_PHASE_NOISE,
-)
 
 
 class Verdict(enum.Enum):
@@ -72,10 +68,12 @@ class SweepResult:
         )
 
 
-def _require_angles(scenario: ScenarioId, angles: Optional[ProjectorAngles]) -> ProjectorAngles:
-    if angles is None:
-        raise ValueError(f"scenario {scenario.value} requires projector angles")
-    return angles
+def _params(scenario, angles, detectors, theta1, theta2, amplitude) -> dict:
+    """The scenario's checked parameter dict; None stands for "not given"."""
+    beta, theta = (None, None) if angles is None else (angles.beta, angles.theta)
+    eta = None if detectors is None else detectors.eta
+    given = dict(beta=beta, theta=theta, eta=eta, theta1=theta1, theta2=theta2, amplitude=amplitude)
+    return models.checked_params(scenario, given)
 
 
 def closed_form(
@@ -84,45 +82,13 @@ def closed_form(
     angles: Optional[ProjectorAngles] = None,
     detectors: Optional[DetectorModel] = None,
     *,
-    theta1: float = _DEFAULT_THETA1,
-    theta2: float = _DEFAULT_THETA2,
-    amplitude: float = _DEFAULT_AMPLITUDE,
+    theta1: Optional[float] = None,
+    theta2: Optional[float] = None,
+    amplitude: Optional[float] = None,
 ) -> float:
     """Analytic value of the measured curve, independent of the Fock engine."""
-    g = models.check_gamma(gamma)
-    c, s = math.cos(g), math.sin(g)
-    if scenario is ScenarioId.HOM2:
-        return s * s / 2.0
-    if scenario is ScenarioId.HOM4_COINCIDENCE:
-        return c**4 / 4.0 + c * c * s * s / 4.0 + 3.0 * s**4 / 8.0
-    if scenario is ScenarioId.HOM4_BUNCHING:
-        return 3.0 * c * c / 8.0 + s**4 / 16.0
-    if scenario is ScenarioId.SINGLE_DELIBERATE:
-        a = _require_angles(scenario, angles)
-        return (
-            math.cos(a.beta) ** 2 * (1.0 - s) / 2.0
-            + math.cos(a.theta) * math.sin(2.0 * a.beta) * c / 2.0
-            + math.sin(a.beta) ** 2 * (1.0 + s) / 2.0
-        )
-    if scenario is ScenarioId.SINGLE_LOSS:
-        a = _require_angles(scenario, angles)
-        return (
-            c * c * math.cos(a.beta) ** 2
-            + math.cos(a.theta) * math.sin(2.0 * a.beta) * c
-            + math.sin(a.beta) ** 2
-        ) / 2.0
-    if scenario is ScenarioId.SINGLE_PHASE_NOISE:
-        a = _require_angles(scenario, angles)
-        return (1.0 + math.cos(a.theta) * math.sin(2.0 * a.beta) * c) / 2.0
-    if scenario is ScenarioId.TWO_PHOTON_POLARIZATION:
-        return (4.0 / 3.0) * math.sin(math.pi / 4 + g / 2) ** 2 * math.cos(g / 2) ** 2
-    if scenario is ScenarioId.HOFMANN_CASCADE:
-        eta = detectors.eta if detectors is not None else 1.0
-        pure = (4.0 / 3.0) * math.sin(math.pi / 4 + g / 2) ** 2 * math.cos(g / 2) ** 2
-        return 3.0 * eta * eta * pure / 8.0
-    if scenario is ScenarioId.CLASSICAL_POLARIZATION:
-        return projectors.classical_intensity(g, theta1, theta2, amplitude)
-    raise models.UnsupportedScenarioError(f"no closed form for {scenario.value}")
+    params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
+    return models.SCENARIOS[scenario].closed(models.check_gamma(gamma), params)
 
 
 def probability_function(
@@ -130,57 +96,14 @@ def probability_function(
     angles: Optional[ProjectorAngles] = None,
     detectors: Optional[DetectorModel] = None,
     *,
-    theta1: float = _DEFAULT_THETA1,
-    theta2: float = _DEFAULT_THETA2,
-    amplitude: float = _DEFAULT_AMPLITUDE,
+    theta1: Optional[float] = None,
+    theta2: Optional[float] = None,
+    amplitude: Optional[float] = None,
 ) -> Callable[[float], float]:
     """Engine-evaluated probability of a scenario as a function of gamma."""
-    if scenario in (ScenarioId.HOM2, ScenarioId.HOM4_COINCIDENCE, ScenarioId.HOM4_BUNCHING):
-        u = models.scenario_unitary(scenario)
-        events = projectors.scenario_events(scenario)
-
-        def evaluate(gamma: float) -> float:
-            out = transforms.lift(u, models.scenario_state(scenario, gamma))
-            return projectors.event_sum(out, events)
-
-    elif scenario is ScenarioId.SINGLE_DELIBERATE:
-        xi = projectors.single_photon_projector(_require_angles(scenario, angles))
-
-        def evaluate(gamma: float) -> float:
-            return projectors.pure_projection(models.single_deliberate(gamma), xi)
-
-    elif scenario is ScenarioId.SINGLE_LOSS:
-        xi = projectors.single_photon_projector(_require_angles(scenario, angles))
-
-        def evaluate(gamma: float) -> float:
-            return projectors.loss_marginal_projection(models.single_loss(gamma), xi)
-
-    elif scenario is ScenarioId.SINGLE_PHASE_NOISE:
-        xi = projectors.single_photon_projector(_require_angles(scenario, angles))
-
-        def evaluate(gamma: float) -> float:
-            return projectors.pure_projection(models.single_phase_noise(gamma), xi)
-
-    elif scenario is ScenarioId.TWO_PHOTON_POLARIZATION:
-        xi2 = projectors.two_photon_xi()
-
-        def evaluate(gamma: float) -> float:
-            return projectors.pure_projection(models.two_photon_polarization(gamma), xi2)
-
-    elif scenario is ScenarioId.HOFMANN_CASCADE:
-        dets = detectors if detectors is not None else DetectorModel()
-
-        def evaluate(gamma: float) -> float:
-            return projectors.hofmann_cascade(models.two_photon_polarization(gamma), dets)
-
-    elif scenario is ScenarioId.CLASSICAL_POLARIZATION:
-
-        def evaluate(gamma: float) -> float:
-            return projectors.classical_intensity(gamma, theta1, theta2, amplitude)
-
-    else:
-        raise models.UnsupportedScenarioError(f"cannot evaluate {scenario.value}")
-    return evaluate
+    params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
+    curve = projectors.scenario_curve(scenario, params)
+    return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0])
 
 
 def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL) -> Verdict:
@@ -200,10 +123,10 @@ def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL
     return Verdict.NON_MONOTONIC
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SLOPE_STEP = 1e-5
 
 
-def golden_section_extremum(
+def stationary_point(
     f: Callable[[float], float],
     lo: float,
     hi: float,
@@ -212,73 +135,41 @@ def golden_section_extremum(
 ) -> tuple[float, float]:
     """Locate the single extremum of f inside [lo, hi] to `tol` in gamma.
 
-    Assumes unimodality on the bracket; ties shrink the right edge first,
-    biasing toward smaller gamma.
+    Bisects on the sign of the slope f(x + h) - f(x - h).  Comparing
+    values can only narrow an extremum down to its flat top, ~sqrt(eps)
+    wide; the slope changes sign within ~eps / h + h^2 of it.
     """
-    sign = 1.0 if kind is ExtremumKind.MIN else -1.0
+    rising = 1.0 if kind is ExtremumKind.MAX else -1.0
+    h = _SLOPE_STEP
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
     while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = sign * f(c)
+        x = 0.5 * (a + b)
+        if rising * (f(min(x + h, GAMMA_MAX)) - f(max(x - h, 0.0))) > 0.0:
+            a = x
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = sign * f(d)
+            b = x
     x = 0.5 * (a + b)
     return x, f(x)
 
 
-def _params_dict(
-    scenario: ScenarioId,
-    angles: Optional[ProjectorAngles],
-    detectors: Optional[DetectorModel],
-    theta1: float,
-    theta2: float,
-    amplitude: float,
-) -> dict:
-    params: dict = {}
-    if scenario in _ANGLE_SCENARIOS:
-        a = _require_angles(scenario, angles)
-        params["beta"] = a.beta
-        params["theta"] = a.theta
-    if scenario is ScenarioId.HOFMANN_CASCADE:
-        params["eta"] = detectors.eta if detectors is not None else 1.0
-    if scenario is ScenarioId.CLASSICAL_POLARIZATION:
-        params["theta1"] = theta1
-        params["theta2"] = theta2
-        params["amplitude"] = amplitude
-    return params
-
-
-def _function_from_params(scenario: ScenarioId, params: dict) -> Callable[[float], float]:
-    angles = None
-    if "beta" in params:
-        angles = ProjectorAngles(params["beta"], params["theta"])
+def _arguments(params: dict) -> tuple:
+    """(angles, detectors, keyword arguments) of the calls that produced `params`."""
+    angles = ProjectorAngles(params["beta"], params["theta"]) if "beta" in params else None
     detectors = DetectorModel(params["eta"]) if "eta" in params else None
-    return probability_function(
-        scenario,
-        angles,
-        detectors,
-        theta1=params.get("theta1", _DEFAULT_THETA1),
-        theta2=params.get("theta2", _DEFAULT_THETA2),
-        amplitude=params.get("amplitude", _DEFAULT_AMPLITUDE),
-    )
+    extra = {k: params[k] for k in ("theta1", "theta2", "amplitude") if k in params}
+    return angles, detectors, extra
 
 
 def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Extremum, ...]:
     """Interior extrema of the sampled curve, refined on the engine function.
 
     Scans the first differences for sign changes (runs flatter than `tol`
-    are skipped over) and narrows each bracket by golden-section search.
+    are skipped over) and narrows each bracket by `stationary_point`.
     Monotone and constant curves yield an empty tuple; endpoints are never
     reported.
     """
-    f = _function_from_params(result.scenario, result.params)
+    angles, detectors, extra = _arguments(result.params)
+    f = probability_function(result.scenario, angles, detectors, **extra)
     g, p = result.gammas, result.probabilities
     diffs = [b - a for a, b in zip(p, p[1:])]
     found: list[Extremum] = []
@@ -288,12 +179,9 @@ def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Ex
         sign = 1 if d > tol else (-1 if d < -tol else 0)
         if sign == 0:
             continue
-        if last_sign == 1 and sign == -1:
-            x, v = golden_section_extremum(f, g[last_idx], g[j + 1], ExtremumKind.MAX)
-            found.append(Extremum(x, v, ExtremumKind.MAX))
-        elif last_sign == -1 and sign == 1:
-            x, v = golden_section_extremum(f, g[last_idx], g[j + 1], ExtremumKind.MIN)
-            found.append(Extremum(x, v, ExtremumKind.MIN))
+        if last_sign == -sign:
+            kind = ExtremumKind.MAX if sign < 0 else ExtremumKind.MIN
+            found.append(Extremum(*stationary_point(f, g[last_idx], g[j + 1], kind), kind))
         last_sign = sign
         last_idx = j
     return tuple(found)
@@ -305,36 +193,28 @@ def sweep(
     angles: Optional[ProjectorAngles] = None,
     detectors: Optional[DetectorModel] = None,
     *,
-    theta1: float = _DEFAULT_THETA1,
-    theta2: float = _DEFAULT_THETA2,
-    amplitude: float = _DEFAULT_AMPLITUDE,
+    theta1: Optional[float] = None,
+    theta2: Optional[float] = None,
+    amplitude: Optional[float] = None,
 ) -> SweepResult:
     """Evaluate a scenario on a uniform gamma grid over [0, pi/2]."""
     if steps < 3:
         raise ValueError(f"steps must be at least 3, got {steps}")
-    evaluate = probability_function(
-        scenario, angles, detectors, theta1=theta1, theta2=theta2, amplitude=amplitude
-    )
+    params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
+    spec = models.SCENARIOS[scenario]
     gammas = tuple(i * GAMMA_MAX / (steps - 1) for i in range(steps))
-    probabilities = tuple(evaluate(g) for g in gammas)
-    closed = tuple(
-        closed_form(
-            scenario, g, angles, detectors, theta1=theta1, theta2=theta2, amplitude=amplitude
-        )
-        for g in gammas
-    )
-    if scenario is ScenarioId.CLASSICAL_POLARIZATION:
-        indist = None
-    else:
-        indist = tuple(models.indistinguishability(scenario, g) for g in gammas)
+    grid = np.array(gammas)
+    probabilities = tuple(projectors.scenario_curve(scenario, params)(grid).tolist())
+    quantum = spec.coefficients is not None
+    indist = tuple(projectors.overlap_curve(scenario)(grid).tolist()) if quantum else None
     result = SweepResult(
         scenario=scenario,
         gammas=gammas,
         probabilities=probabilities,
-        closed_forms=closed,
+        closed_forms=tuple(spec.closed(g, params) for g in gammas),
         indistinguishability=indist,
         verdict=classify_monotonicity(probabilities),
         extrema=(),
-        params=_params_dict(scenario, angles, detectors, theta1, theta2, amplitude),
+        params=params,
     )
     return dataclasses.replace(result, extrema=find_extrema(result))

@@ -1,19 +1,19 @@
 """Command-line front end: sweep one scenario and emit a CSV or JSON table.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 internal invariant
-violation (a raw probability left [0, 1] beyond the numerical slack).
+Exit codes: 0 success, 1 usage error (a bad, non-finite or unused flag),
+2 I/O error, 3 internal invariant violation (a raw probability left [0, 1]
+beyond the numerical slack, or a value that is not finite).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import analysis
+from . import analysis, models
 from .models import ScenarioId
 from .projectors import DetectorModel, ProbabilityRangeError, ProjectorAngles
 
@@ -21,8 +21,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INVARIANT = 3
-
-_ANGLE_SCENARIOS = ("single-deliberate", "single-loss", "single-phase-noise")
 
 
 @dataclass
@@ -36,15 +34,14 @@ class RunConfig:
     eta: Optional[float] = None
     theta1: Optional[float] = None
     theta2: Optional[float] = None
-    field_amplitude: Optional[float] = None
+    amplitude: Optional[float] = None
     output_format: str = "csv"
     output_path: Optional[str] = None
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; remap to 1
+    # argparse exits with status 2 on bad usage; remap to 1, with a one-line reason
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -80,31 +77,13 @@ def parse_args(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     if ns.steps < 3:
         parser.error("--steps must be at least 3")
-    if ns.scenario in _ANGLE_SCENARIOS:
-        if ns.beta is None:
-            parser.error(f"scenario {ns.scenario} requires --beta")
-        if ns.theta is None:
-            parser.error(f"scenario {ns.scenario} requires --theta")
-    if ns.beta is not None and not 0.0 <= ns.beta <= math.pi / 2:
-        parser.error("--beta must lie in [0, pi/2]")
-    if ns.theta is not None and not 0.0 <= ns.theta < 2.0 * math.pi:
-        parser.error("--theta must lie in [0, 2*pi)")
-    if ns.eta is not None and not 0.0 <= ns.eta <= 1.0:
-        parser.error("--eta must lie in [0, 1]")
-    if ns.amplitude is not None and ns.amplitude < 0.0:
-        parser.error("--amplitude must be non-negative")
-    return RunConfig(
-        scenario=ScenarioId.from_name(ns.scenario),
-        steps=ns.steps,
-        beta=ns.beta,
-        theta=ns.theta,
-        eta=ns.eta,
-        theta1=ns.theta1,
-        theta2=ns.theta2,
-        field_amplitude=ns.amplitude,
-        output_format=ns.format,
-        output_path=ns.output,
-    )
+    scenario = ScenarioId(ns.scenario)
+    given = {p.name: getattr(ns, p.name) for p in models.PARAMETERS}
+    try:
+        models.checked_params(scenario, given)
+    except ValueError as exc:
+        parser.error(f"--{exc}")
+    return RunConfig(scenario, ns.steps, **given, output_format=ns.format, output_path=ns.output)
 
 
 def _fmt(x: float) -> str:
@@ -139,7 +118,7 @@ def render_csv(result: analysis.SweepResult) -> str:
     Probabilities are clamped to [0, 1] for reporting except in the
     classical scenario, whose column is an intensity.
     """
-    clamp = result.scenario is not ScenarioId.CLASSICAL_POLARIZATION
+    clamp = models.SCENARIOS[result.scenario].probability
     lines = ["gamma,probability,closed_form,indistinguishability"]
     for i, gamma in enumerate(result.gammas):
         p = result.probabilities[i]
@@ -158,7 +137,7 @@ def render_csv(result: analysis.SweepResult) -> str:
 
 def render_json(result: analysis.SweepResult) -> str:
     """JSON mirror of the sweep result with 12-significant-digit floats."""
-    clamp = result.scenario is not ScenarioId.CLASSICAL_POLARIZATION
+    clamp = models.SCENARIOS[result.scenario].probability
 
     def num(x: float) -> float:
         return float(_fmt(x))
@@ -182,7 +161,7 @@ def render_json(result: analysis.SweepResult) -> str:
         "params": {k: num(v) for k, v in result.params.items()},
         "max_closed_form_deviation": num(result.max_closed_form_deviation()),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def run(config: RunConfig) -> int:
@@ -190,22 +169,20 @@ def run(config: RunConfig) -> int:
     angles = None
     if config.beta is not None and config.theta is not None:
         angles = ProjectorAngles(config.beta, config.theta)
-    detectors = None
-    if config.scenario is ScenarioId.HOFMANN_CASCADE:
-        detectors = DetectorModel(config.eta if config.eta is not None else 1.0)
-    kwargs = {}
-    if config.theta1 is not None:
-        kwargs["theta1"] = config.theta1
-    if config.theta2 is not None:
-        kwargs["theta2"] = config.theta2
-    if config.field_amplitude is not None:
-        kwargs["amplitude"] = config.field_amplitude
+    detectors = DetectorModel(config.eta) if config.eta is not None else None
     try:
-        result = analysis.sweep(config.scenario, config.steps, angles, detectors, **kwargs)
+        result = analysis.sweep(
+            config.scenario, config.steps, angles, detectors,
+            theta1=config.theta1, theta2=config.theta2, amplitude=config.amplitude,
+        )
     except ProbabilityRangeError as exc:
         print(f"fockproj: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    text = render_csv(result) if config.output_format == "csv" else render_json(result)
+    try:
+        text = render_csv(result) if config.output_format == "csv" else render_json(result)
+    except ValueError as exc:  # JSON refuses a non-finite number
+        print(f"fockproj: invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     try:
         if config.output_path in (None, "-"):
             sys.stdout.write(text)

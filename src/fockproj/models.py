@@ -1,24 +1,32 @@
-"""Input-state families parameterized by a distinguishability angle.
+"""The scenario table: each scenario as a quadratic form over at most three kets.
 
 Every scenario is driven by one angle gamma in [0, pi/2]: gamma = 0 is
 the maximally interfering configuration, gamma = pi/2 is fully
 distinguishable.  Physically gamma stands in for a temporal delay, a
 polarization rotation, linear loss into an ancilla, or relative-phase
 noise, depending on the scenario.
+
+A quantum curve is p(g) = sum_w w sum_o |sum_k A[o, k] c_wk(g)|^2: mixture
+members over a fixed basis b_k, a fixed transform U and outcome kets o,
+with A[o, k] = <o|U b_k>.  `SCENARIOS` holds one `ScenarioSpec` each.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from . import transforms
-from .fock import FockState, StateEnsemble, fidelity
+from .fock import FockState, StateEnsemble, basis_ket, fidelity, tensor
 
 GAMMA_MIN = 0.0
 GAMMA_MAX = math.pi / 2
+
+_R2 = 1.0 / math.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 class UnsupportedScenarioError(ValueError):
@@ -38,19 +46,6 @@ class ScenarioId(enum.Enum):
     HOFMANN_CASCADE = "hofmann-cascade"
     CLASSICAL_POLARIZATION = "classical-polarization"
 
-    @classmethod
-    def from_name(cls, name: str) -> "ScenarioId":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise UnsupportedScenarioError(f"unknown scenario {name!r}")
-
-
-#: scenarios backed by a Fock state or ensemble (everything but classical light)
-QUANTUM_SCENARIOS = tuple(
-    s for s in ScenarioId if s is not ScenarioId.CLASSICAL_POLARIZATION
-)
-
 
 def check_gamma(gamma: float) -> float:
     g = float(gamma)
@@ -59,59 +54,257 @@ def check_gamma(gamma: float) -> float:
     return g
 
 
-def hom_two_photon(gamma: float) -> FockState:
-    """Two photons, one early and one possibly late, on four modes.
+class Param(NamedTuple):
+    """A scenario parameter: name (also its CLI flag), range [lo, hi] spelled
+    as `bounds` for messages, and default (None: required)."""
 
-    cos(g)|1,1,0,0> + sin(g)|1,0,0,1>; mode order is (early-1, early-2,
-    late-1, late-2).
+    name: str
+    lo: float
+    hi: float
+    bounds: str
+    default: Optional[float] = None
+
+    def check(self, value: float) -> float:
+        """`value` as a float; ValueError when it is not finite or out of range."""
+        v = float(value)
+        if not (math.isfinite(v) and self.lo <= v <= self.hi):
+            raise ValueError(f"{self.name} must lie in {self.bounds}, got {v}")
+        return v
+
+
+BETA = Param("beta", 0.0, math.pi / 2, "[0, pi/2]")
+# hi is the largest float below 2*pi, which makes the range half-open
+THETA = Param("theta", 0.0, math.nextafter(2.0 * math.pi, 0.0), "[0, 2*pi)")
+ETA = Param("eta", 0.0, 1.0, "[0, 1]", default=1.0)
+THETA1 = Param("theta1", -math.inf, math.inf, "(-inf, inf)", default=0.0)
+THETA2 = Param("theta2", -math.inf, math.inf, "(-inf, inf)", default=math.pi / 4)
+AMPLITUDE = Param("amplitude", 0.0, 2e77, "[0, 2e77]", default=2.0)  # (E0/2)^4 stays finite
+PARAMETERS = (BETA, THETA, ETA, THETA1, THETA2, AMPLITUDE)
+
+
+def single_photon_ket(beta: float, theta: float) -> FockState:
+    """cos(beta)|1,0> + e^{-i theta} sin(beta)|0,1>."""
+    phase = complex(math.cos(theta), -math.sin(theta))
+    return FockState(2, {(1, 0): math.cos(beta), (0, 1): phase * math.sin(beta)})
+
+
+def two_photon_xi() -> FockState:
+    """The interfering but non-proper two-photon projector (sqrt(2)|2,0> + |1,1>)/sqrt(3)."""
+    r = 1.0 / math.sqrt(3.0)
+    return FockState(2, {(2, 0): math.sqrt(2.0) * r, (1, 1): r})
+
+
+def cascade_split() -> transforms.ModeUnitary:
+    """Non-polarizing 50:50 split of (H, V) into modes (arm1-H, arm1-V, arm2-H, arm2-V)."""
+    return transforms.beamsplitter_5050(0, 2, 4) @ transforms.beamsplitter_5050(1, 3, 4)
+
+
+def cascade_coincidence() -> FockState:
+    """One diagonal photon in arm 1 and one horizontal photon in arm 2."""
+    return FockState(4, {(1, 0, 1, 0): _R2, (0, 1, 1, 0): _R2})
+
+
+def _loss_outcomes(p: dict) -> list[FockState]:
+    # the unobserved ancilla of a one-photon state holds 0 or 1 photons
+    xi = single_photon_ket(p["beta"], p["theta"])
+    return [tensor(xi, basis_ket((k,))) for k in (0, 1)]
+
+
+def _cascade_outcomes(p: dict) -> list[FockState]:
+    # <c|L(S)(psi x |0,0>)> = <L(S) c|psi x |0,0>> as the split is real and
+    # symmetric: pull the coincidence back and keep its arm-2-empty part
+    back = transforms.lift(cascade_split(), cascade_coincidence())
+    return [FockState(2, {o[:2]: a for o, a in back.items() if o[2:] == (0, 0)})]
+
+
+def _delay_transform() -> transforms.ModeUnitary:
+    # one balanced beam splitter acting alike on the early (0, 1) and late (2, 3) pairs
+    return transforms.beamsplitter_5050(0, 1, 4) @ transforms.beamsplitter_5050(2, 3, 4)
+
+
+def _pair_coefficients(g):
+    c, s = np.cos(g), np.sin(g)
+    return [(c * c, _SQRT2 * c * s, s * s)]
+
+
+def _polarization_coefficients(g):
+    t = math.pi / 4 + g / 2
+    s, c = np.sin(t), np.cos(t)
+    return [(s * s, _SQRT2 * s * c, c * c)]
+
+
+def _phase_member(phi):
+    return (_R2, _R2 * np.exp(1j * phi))
+
+
+def _polarization_closed(g, c, s, p):
+    return (4.0 / 3.0) * math.sin(math.pi / 4 + g / 2) ** 2 * math.cos(g / 2) ** 2
+
+
+def _intensity(g: float, theta1: float, theta2: float, amplitude: float) -> float:
+    return (amplitude / 2.0) ** 4 * math.cos(g - theta1) ** 2 * math.cos(g - theta2) ** 2
+
+
+def classical_intensity(
+    gamma: float, theta1: float, theta2: float, field_amplitude: float
+) -> float:
+    """Mean output intensity of the classical-light version of the cascade.
+
+    (E0/2)^4 cos^2(gamma - theta1) cos^2(gamma - theta2) for a classical
+    field of amplitude E0 polarized at angle gamma, split and sent through
+    polarizers at theta1 and theta2.  An intensity, not a probability; it
+    is not range-guarded.
     """
-    g = check_gamma(gamma)
-    return FockState(4, {(1, 1, 0, 0): math.cos(g), (1, 0, 0, 1): math.sin(g)})
+    t1, t2, amplitude = THETA1.check(theta1), THETA2.check(theta2), AMPLITUDE.check(field_amplitude)
+    return _intensity(check_gamma(gamma), t1, t2, amplitude)
+
+
+class ScenarioSpec(NamedTuple):
+    """One scenario: input state, transform, measurement, closed form, parameters.
+
+    `coefficients` maps gamma (a float or an array) to one coefficient
+    vector over `basis` per mixture member, weighted by `weights`;
+    `transform` builds U (None: the identity, so nothing is lifted).  The
+    outcome kets are the `events` as basis kets, or else `outcomes(params)`,
+    and `gain(params)` scales the whole form (eta^2 for two detectors).
+    `closed_form(g, cos g, sin g, params)` is the independent analytic
+    curve.  Classical light has no basis: its closed form is its only
+    model, and its curve is an intensity, neither clamped nor range-guarded.
+    """
+
+    params: tuple
+    closed_form: Callable
+    modes: int = 0
+    basis: tuple = ()
+    coefficients: Optional[Callable] = None
+    weights: tuple = (1.0,)
+    transform: Optional[Callable[[], transforms.ModeUnitary]] = None
+    events: tuple = ()
+    outcomes: Optional[Callable[[dict], list]] = None
+    gain: Callable[[dict], float] = lambda p: 1.0
+    probability: bool = True
+
+    def closed(self, g: float, params: dict) -> float:
+        return self.closed_form(g, math.cos(g), math.sin(g), params)
+
+
+_PAIR_BASIS = ((2, 2, 0, 0), (2, 1, 0, 1), (2, 0, 0, 2))
+_POLARIZATION_BASIS = ((2, 0), (1, 1), (0, 2))
+
+SCENARIOS = {
+    ScenarioId.HOM2: ScenarioSpec(
+        (), lambda g, c, s, p: s * s / 2.0, 4, ((1, 1, 0, 0), (1, 0, 0, 1)),
+        lambda g: [(np.cos(g), np.sin(g))],
+        # coincidence window: one click per path
+        transform=_delay_transform, events=((1, 0, 0, 1), (0, 1, 1, 0)),
+    ),
+    ScenarioId.HOM4_COINCIDENCE: ScenarioSpec(
+        (), lambda g, c, s, p: c**4 / 4.0 + c * c * s * s / 4.0 + 3.0 * s**4 / 8.0,
+        4, _PAIR_BASIS, _pair_coefficients,
+        # two-per-path coincidence window
+        transform=_delay_transform,
+        events=((2, 2, 0, 0), (2, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 2), (1, 1, 1, 1), (0, 2, 2, 0)),
+    ),
+    ScenarioId.HOM4_BUNCHING: ScenarioSpec(
+        (), lambda g, c, s, p: 3.0 * c * c / 8.0 + s**4 / 16.0, 4, _PAIR_BASIS, _pair_coefficients,
+        # all four photons exiting the first path
+        transform=_delay_transform, events=((4, 0, 0, 0), (3, 0, 1, 0), (2, 0, 2, 0)),
+    ),
+    ScenarioId.SINGLE_DELIBERATE: ScenarioSpec(
+        (BETA, THETA),
+        lambda g, c, s, p: (
+            math.cos(p["beta"]) ** 2 * (1.0 - s) / 2.0
+            + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c / 2.0
+            + math.sin(p["beta"]) ** 2 * (1.0 + s) / 2.0
+        ),
+        2, ((1, 0), (0, 1)), lambda g: [(np.cos(g / 2 + math.pi / 4), np.sin(g / 2 + math.pi / 4))],
+        outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
+    ),
+    ScenarioId.SINGLE_LOSS: ScenarioSpec(
+        (BETA, THETA),
+        lambda g, c, s, p: (
+            c * c * math.cos(p["beta"]) ** 2
+            + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c
+            + math.sin(p["beta"]) ** 2
+        ) / 2.0,
+        3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda g: [(_R2 * np.cos(g), _R2, _R2 * np.sin(g))],
+        outcomes=_loss_outcomes,
+    ),
+    ScenarioId.SINGLE_PHASE_NOISE: ScenarioSpec(
+        (BETA, THETA),
+        lambda g, c, s, p: (1.0 + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c) / 2.0,
+        2, ((1, 0), (0, 1)), lambda g: [_phase_member(g), _phase_member(-g)], (0.5, 0.5),
+        outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
+    ),
+    ScenarioId.TWO_PHOTON_POLARIZATION: ScenarioSpec(
+        (), _polarization_closed, 2, _POLARIZATION_BASIS, _polarization_coefficients,
+        outcomes=lambda p: [two_photon_xi()],
+    ),
+    ScenarioId.HOFMANN_CASCADE: ScenarioSpec(
+        (ETA,),
+        lambda g, c, s, p: 3.0 * p["eta"] * p["eta"] * _polarization_closed(g, c, s, p) / 8.0,
+        2, _POLARIZATION_BASIS, _polarization_coefficients,
+        outcomes=_cascade_outcomes, gain=lambda p: p["eta"] ** 2,
+    ),
+    ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec(
+        (THETA1, THETA2, AMPLITUDE),
+        lambda g, c, s, p: _intensity(g, p["theta1"], p["theta2"], p["amplitude"]),
+        probability=False,
+    ),
+}
+
+#: scenarios backed by a Fock state or ensemble (everything but classical light)
+QUANTUM_SCENARIOS = tuple(s for s in ScenarioId if SCENARIOS[s].coefficients is not None)
+
+
+def checked_params(scenario: ScenarioId, given: Mapping[str, Optional[float]]) -> dict:
+    """The parameters of `scenario` from `given` (None: not given), defaults filled in.
+
+    Raises ValueError, with the parameter name first in the message, for
+    a parameter the scenario does not use, a missing required one, or a
+    value that is not finite or out of range.
+    """
+    schema = SCENARIOS[scenario].params
+    for name, value in given.items():
+        if value is not None and name not in {p.name for p in schema}:
+            raise ValueError(f"{name} is not used by scenario {scenario.value}")
+    params = {}
+    for p in schema:
+        value = p.default if given.get(p.name) is None else given[p.name]
+        if value is None:
+            raise ValueError(f"{p.name} is required by scenario {scenario.value}")
+        params[p.name] = p.check(value)
+    return params
+
+
+def scenario_state(scenario: ScenarioId, gamma: float):
+    """Input state (FockState or StateEnsemble) for a quantum scenario."""
+    spec = SCENARIOS[scenario]
+    if spec.coefficients is None:
+        raise UnsupportedScenarioError(f"{scenario.value} has no quantum input state")
+    vectors = spec.coefficients(check_gamma(gamma))
+    members = [FockState(spec.modes, zip(spec.basis, c)) for c in vectors]
+    return members[0] if len(members) == 1 else StateEnsemble(zip(spec.weights, members))
+
+
+def hom_two_photon(gamma: float) -> FockState:
+    """cos(g)|1,1,0,0> + sin(g)|1,0,0,1> on modes (early-1, early-2, late-1, late-2)."""
+    return scenario_state(ScenarioId.HOM2, gamma)
 
 
 def hom_two_pair(gamma: float) -> FockState:
-    """A photon pair delayed against another pair, on four modes.
-
-    cos^2(g)|2,2,0,0> + sqrt(2) cos(g) sin(g)|2,1,0,1> + sin^2(g)|2,0,0,2>.
-    """
-    g = check_gamma(gamma)
-    c, s = math.cos(g), math.sin(g)
-    return FockState(
-        4,
-        {
-            (2, 2, 0, 0): c * c,
-            (2, 1, 0, 1): math.sqrt(2.0) * c * s,
-            (2, 0, 0, 2): s * s,
-        },
-    )
+    """A pair delayed against a pair: cos^2|2,2,0,0> + sqrt(2) cos sin|2,1,0,1> + sin^2|2,0,0,2>."""
+    return scenario_state(ScenarioId.HOM4_COINCIDENCE, gamma)
 
 
 def single_deliberate(gamma: float) -> FockState:
-    """Single photon rotated away from the balanced superposition.
-
-    cos(pi/4 + g/2)|1,0> + sin(pi/4 + g/2)|0,1>.
-    """
-    g = check_gamma(gamma)
-    half = math.pi / 4 + g / 2
-    return FockState(2, {(1, 0): math.cos(half), (0, 1): math.sin(half)})
+    """Single photon rotated off balance: cos(pi/4 + g/2)|1,0> + sin(pi/4 + g/2)|0,1>."""
+    return scenario_state(ScenarioId.SINGLE_DELIBERATE, gamma)
 
 
 def single_loss(gamma: float) -> FockState:
-    """Single photon with linear loss routed unitarily into a third mode.
-
-    [cos(g)|1,0,0> + |0,1,0> + sin(g)|0,0,1>] / sqrt(2); the last mode is
-    the unobserved loss ancilla.
-    """
-    g = check_gamma(gamma)
-    r = 1.0 / math.sqrt(2.0)
-    return FockState(
-        3, {(1, 0, 0): r * math.cos(g), (0, 1, 0): r, (0, 0, 1): r * math.sin(g)}
-    )
-
-
-def _phase_member(phi: float) -> FockState:
-    r = 1.0 / math.sqrt(2.0)
-    return FockState(2, {(1, 0): r, (0, 1): r * complex(math.cos(phi), math.sin(phi))})
+    """[cos(g)|1,0,0> + |0,1,0> + sin(g)|0,0,1>] / sqrt(2); the last mode is the loss ancilla."""
+    return scenario_state(ScenarioId.SINGLE_LOSS, gamma)
 
 
 def single_phase_noise(gamma: float) -> StateEnsemble:
@@ -121,8 +314,7 @@ def single_phase_noise(gamma: float) -> StateEnsemble:
     <cos(phi)> = cos(gamma) exactly, which is all any projection
     probability of these states can depend on.
     """
-    g = check_gamma(gamma)
-    return StateEnsemble(((0.5, _phase_member(g)), (0.5, _phase_member(-g))))
+    return scenario_state(ScenarioId.SINGLE_PHASE_NOISE, gamma)
 
 
 def single_phase_noise_gaussian(gamma: float, nodes: int = 17) -> StateEnsemble:
@@ -151,71 +343,30 @@ def single_phase_noise_gaussian(gamma: float, nodes: int = 17) -> StateEnsemble:
             rho = math.exp(-0.5 * n * n * sigma_sq) if math.isfinite(sigma_sq) else 0.0
             density += 2.0 * rho * np.cos(n * phis)
         weights = density / density.sum()
-    return StateEnsemble(
-        (float(weights[k]), _phase_member(float(phis[k]))) for k in range(nodes)
-    )
+    basis = SCENARIOS[ScenarioId.SINGLE_PHASE_NOISE].basis
+    members = (FockState(2, zip(basis, _phase_member(phi))) for phi in phis.tolist())
+    return StateEnsemble(zip(weights.tolist(), members))
 
 
 def two_photon_polarization(gamma: float) -> FockState:
-    """Photon pair rotated from diagonal toward horizontal polarization.
-
-    sin^2(t)|2,0> + sqrt(2) sin(t) cos(t)|1,1> + cos^2(t)|0,2> with
-    t = pi/4 + g/2; modes are (H, V).
-    """
-    g = check_gamma(gamma)
-    t = math.pi / 4 + g / 2
-    s, c = math.sin(t), math.cos(t)
-    return FockState(2, {(2, 0): s * s, (1, 1): math.sqrt(2.0) * s * c, (0, 2): c * c})
-
-
-_STATE_FACTORIES = {
-    ScenarioId.HOM2: hom_two_photon,
-    ScenarioId.HOM4_COINCIDENCE: hom_two_pair,
-    ScenarioId.HOM4_BUNCHING: hom_two_pair,
-    ScenarioId.SINGLE_DELIBERATE: single_deliberate,
-    ScenarioId.SINGLE_LOSS: single_loss,
-    ScenarioId.SINGLE_PHASE_NOISE: single_phase_noise,
-    ScenarioId.TWO_PHOTON_POLARIZATION: two_photon_polarization,
-    ScenarioId.HOFMANN_CASCADE: two_photon_polarization,
-}
-
-
-def scenario_state(scenario: ScenarioId, gamma: float):
-    """Input state (FockState or StateEnsemble) for a quantum scenario."""
-    factory = _STATE_FACTORIES.get(scenario)
-    if factory is None:
-        raise UnsupportedScenarioError(f"{scenario.value} has no quantum input state")
-    return factory(gamma)
+    """Pair rotated from diagonal toward H: t = pi/4 + g/2 in modes (H, V),
+    sin^2(t)|2,0> + sqrt(2) sin(t) cos(t)|1,1> + cos^2(t)|0,2>."""
+    return scenario_state(ScenarioId.TWO_PHOTON_POLARIZATION, gamma)
 
 
 def scenario_reference(scenario: ScenarioId) -> FockState:
     """The maximally interfering pure state (gamma = 0) of a scenario."""
-    state = scenario_state(scenario, 0.0)
-    if isinstance(state, StateEnsemble):
-        # at gamma = 0 the phase-noise members coincide
-        return state.members[0][1]
-    return state
+    state = scenario_state(scenario, 0.0)  # the phase-noise members coincide here
+    return state.members[0][1] if isinstance(state, StateEnsemble) else state
 
 
 def scenario_unitary(scenario: ScenarioId) -> transforms.ModeUnitary:
-    """Interference transform applied before measurement.
-
-    The delay scenarios use one balanced beam splitter acting identically
-    on the early pair (0, 1) and the late pair (2, 3) of modes; the
-    polarization and loss scenarios fold any optics into the projector,
-    so their transform is the identity.
-    """
-    if scenario in (ScenarioId.HOM2, ScenarioId.HOM4_COINCIDENCE, ScenarioId.HOM4_BUNCHING):
-        early = transforms.beamsplitter_5050(0, 1, 4)
-        late = transforms.beamsplitter_5050(2, 3, 4)
-        return early @ late
-    if scenario in (ScenarioId.SINGLE_DELIBERATE, ScenarioId.SINGLE_PHASE_NOISE):
-        return transforms.identity(2)
-    if scenario is ScenarioId.SINGLE_LOSS:
-        return transforms.identity(3)
-    if scenario in (ScenarioId.TWO_PHOTON_POLARIZATION, ScenarioId.HOFMANN_CASCADE):
-        return transforms.identity(2)
-    raise UnsupportedScenarioError(f"{scenario.value} has no interference transform")
+    """Interference transform applied before measurement (the identity for the
+    polarization and loss scenarios, which fold any optics into the projector)."""
+    spec = SCENARIOS[scenario]
+    if spec.coefficients is None:
+        raise UnsupportedScenarioError(f"{scenario.value} has no interference transform")
+    return transforms.identity(spec.modes) if spec.transform is None else spec.transform()
 
 
 def indistinguishability(scenario: ScenarioId, gamma: float) -> float:

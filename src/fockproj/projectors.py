@@ -1,6 +1,6 @@
 """Measurement models: pure projections, coincidence event sums, loss
 marginalization, the proper interference projector, the two-detector
-cascade, and the classical-light analogue.
+cascade, and the compiled curve of every scenario in the table.
 
 Raw probabilities are range-guarded, never clamped: a value outside
 [-1e-9, 1 + 1e-9] signals an algebra bug and raises instead of being
@@ -9,11 +9,12 @@ silently repaired.  Reporting-time clamping belongs to the output layer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from . import models, transforms
+import numpy as np
+
+from . import fock, models, transforms
 from .fock import (
     DimensionMismatchError,
     FockState,
@@ -22,7 +23,7 @@ from .fock import (
     inner_product,
     tensor,
 )
-from .models import ScenarioId
+from .models import ScenarioId, classical_intensity, two_photon_xi  # noqa: F401  (re-exported)
 
 PROBABILITY_SLACK = 1e-9
 PROJECTOR_NORM_TOL = 1e-12
@@ -32,10 +33,14 @@ class ProbabilityRangeError(ArithmeticError):
     """A computed raw probability left [0, 1] by more than the slack."""
 
 
-def _checked_probability(value: float) -> float:
-    if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
+def _checked_probability(value):
+    """`value` (a float or an array of them) if every entry is within the slack of [0, 1]."""
+    values = np.asarray(value)
+    outside = values[~((values >= -PROBABILITY_SLACK) & (values <= 1.0 + PROBABILITY_SLACK))]
+    if outside.size:
         raise ProbabilityRangeError(
-            f"raw probability {value!r} outside [-{PROBABILITY_SLACK}, 1 + {PROBABILITY_SLACK}]"
+            f"raw probability {float(outside.flat[0])!r} outside "
+            f"[-{PROBABILITY_SLACK}, 1 + {PROBABILITY_SLACK}]"
         )
     return value
 
@@ -48,10 +53,8 @@ class ProjectorAngles:
     theta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= math.pi / 2:
-            raise ValueError(f"beta must lie in [0, pi/2], got {self.beta}")
-        if not 0.0 <= self.theta < 2.0 * math.pi:
-            raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
+        models.BETA.check(self.beta)
+        models.THETA.check(self.theta)
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,7 @@ class DetectorModel:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        models.ETA.check(self.eta)
 
 
 class EventSumProjector:
@@ -93,37 +95,14 @@ class EventSumProjector:
         self.observed_mask = mask
 
 
-#: coincidence window of the two-photon delay scenario (one click per path)
-HOM2_COINCIDENCE = EventSumProjector(
-    [(1, 0, 0, 1), (0, 1, 1, 0)], (True, True, True, True)
-)
-
-#: two-per-path coincidence window of the pair scenario
-HOM4_COINCIDENCE = EventSumProjector(
-    [(2, 2, 0, 0), (2, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 2), (1, 1, 1, 1), (0, 2, 2, 0)],
-    (True, True, True, True),
-)
-
-#: all four photons exiting the first path
-HOM4_BUNCHING = EventSumProjector(
-    [(4, 0, 0, 0), (3, 0, 1, 0), (2, 0, 2, 0)], (True, True, True, True)
-)
-
-_SCENARIO_EVENTS = {
-    ScenarioId.HOM2: HOM2_COINCIDENCE,
-    ScenarioId.HOM4_COINCIDENCE: HOM4_COINCIDENCE,
-    ScenarioId.HOM4_BUNCHING: HOM4_BUNCHING,
-}
-
-
 def scenario_events(scenario: ScenarioId) -> EventSumProjector:
     """Coincidence-window event list of a delay scenario."""
-    try:
-        return _SCENARIO_EVENTS[scenario]
-    except KeyError:
+    spec = models.SCENARIOS[scenario]
+    if not spec.events:
         raise models.UnsupportedScenarioError(
             f"{scenario.value} is not measured through an event sum"
-        ) from None
+        )
+    return EventSumProjector(spec.events, (True,) * spec.modes)
 
 
 def pure_projection(
@@ -141,10 +120,7 @@ def pure_projection(
 
 def single_photon_projector(angles: ProjectorAngles) -> FockState:
     """cos(beta)|1,0> + e^{-i theta} sin(beta)|0,1>."""
-    phase = complex(math.cos(angles.theta), -math.sin(angles.theta))
-    return FockState(
-        2, {(1, 0): math.cos(angles.beta), (0, 1): phase * math.sin(angles.beta)}
-    )
+    return models.single_photon_ket(angles.beta, angles.theta)
 
 
 def loss_marginal_projection(state: FockState, projector: FockState) -> float:
@@ -202,12 +178,6 @@ def proper_projector(scenario: ScenarioId) -> FockState:
     return transforms.lift(models.scenario_unitary(scenario), reference)
 
 
-def two_photon_xi() -> FockState:
-    """The interfering but non-proper two-photon projector (sqrt(2)|2,0> + |1,1>)/sqrt(3)."""
-    r = 1.0 / math.sqrt(3.0)
-    return FockState(2, {(2, 0): math.sqrt(2.0) * r, (1, 1): r})
-
-
 def hofmann_cascade(state: FockState, detectors: DetectorModel) -> float:
     """Coincidence probability of the two-detector cascade projector.
 
@@ -225,27 +195,46 @@ def hofmann_cascade(state: FockState, detectors: DetectorModel) -> float:
     if state.photon_numbers() != {2}:
         raise ValueError("cascade input must hold exactly two photons")
     extended = tensor(state, basis_ket((0, 0)))
-    split_h = transforms.beamsplitter_5050(0, 2, 4)
-    split_v = transforms.beamsplitter_5050(1, 3, 4)
-    after_bs = transforms.lift(split_h @ split_v, extended)
-    r = 1.0 / math.sqrt(2.0)
-    coincident = FockState(4, {(1, 0, 1, 0): r, (0, 1, 1, 0): r})
-    raw = detectors.eta**2 * pure_projection(after_bs, coincident)
+    after_bs = transforms.lift(models.cascade_split(), extended)
+    raw = detectors.eta**2 * pure_projection(after_bs, models.cascade_coincidence())
     return _checked_probability(raw)
 
 
-def classical_intensity(
-    gamma: float, theta1: float, theta2: float, field_amplitude: float
-) -> float:
-    """Mean output intensity of the classical-light version of the cascade.
+def _quadratic_form(
+    spec: models.ScenarioSpec, outcomes: Sequence[FockState], transform, gain: float = 1.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Range-guarded gain * sum_w w sum_o |<o|U psi_w(g)>|^2 on an array of angles.
+    A[o, k] = <o|U b_k> is built once, here (U from `transform`; None: identity)."""
+    kets = [basis_ket(b) for b in spec.basis]
+    if transform is not None:
+        u = transform()
+        kets = [transforms.lift(u, k) for k in kets]
+    a = np.array([[inner_product(o, k) for k in kets] for o in outcomes], dtype=complex)
 
-    (E0/2)^4 cos^2(gamma - theta1) cos^2(gamma - theta2) for a classical
-    field of amplitude E0 polarized at angle gamma, split and sent through
-    polarizers at theta1 and theta2.  An intensity, not a probability; it
-    is not range-guarded.
-    """
-    g = models.check_gamma(gamma)
-    if field_amplitude < 0.0:
-        raise ValueError("field amplitude must be non-negative")
-    scale = (field_amplitude / 2.0) ** 4
-    return scale * math.cos(g - theta1) ** 2 * math.cos(g - theta2) ** 2
+    def form(gammas: np.ndarray) -> np.ndarray:
+        total = np.zeros(np.shape(gammas))
+        for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
+            c = np.array(np.broadcast_arrays(*coefficients))
+            c[np.abs(c) <= fock._prune_tol] = 0.0  # as a FockState drops them
+            amplitudes = (a[:, :, None] * c).sum(axis=1)  # A c without a BLAS call
+            total += weight * (amplitudes.real**2 + amplitudes.imag**2).sum(axis=0)
+        return _checked_probability(gain * total)
+
+    return form
+
+
+def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """A scenario's measured curve on an array of angles, for checked `params`;
+    the classical intensity has no state, so its curve is its closed form."""
+    spec = models.SCENARIOS[scenario]
+    if spec.probability:
+        outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
+        return _quadratic_form(spec, outcomes, spec.transform, spec.gain(params))
+    return lambda gammas: np.array([spec.closed(g, params) for g in gammas.tolist()])
+
+
+def overlap_curve(scenario: ScenarioId) -> Callable[[np.ndarray], np.ndarray]:
+    """Overlap probability with the gamma = 0 state on an array of angles:
+    the same form with the reference state as the one outcome and no transform."""
+    reference = models.scenario_reference(scenario)
+    return _quadratic_form(models.SCENARIOS[scenario], [reference], None)

@@ -40,6 +40,17 @@ def test_closed_form_requires_angles():
         closed_form(ScenarioId.SINGLE_LOSS, 0.3)
 
 
+def test_unused_and_non_finite_parameters_are_rejected():
+    with pytest.raises(ValueError):
+        sweep(ScenarioId.HOM2, 11, OFFAXIS)
+    with pytest.raises(ValueError):
+        sweep(ScenarioId.SINGLE_LOSS, 11, OFFAXIS, DetectorModel(0.5))
+    with pytest.raises(ValueError):
+        probability_function(ScenarioId.HOM4_BUNCHING, amplitude=2.0)
+    with pytest.raises(ValueError):
+        closed_form(ScenarioId.CLASSICAL_POLARIZATION, 0.3, theta1=math.nan)
+
+
 @pytest.mark.parametrize(
     "scenario,angles",
     [
@@ -170,6 +181,24 @@ def test_refined_extrema_are_stationary(scenario, angles):
         assert abs(slope) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "scenario,angles,analytic",
+    [
+        (ScenarioId.HOM4_COINCIDENCE, None, math.acos(math.sqrt(2 / 3))),
+        (ScenarioId.SINGLE_DELIBERATE, OFFAXIS, math.pi / 4),
+        (ScenarioId.SINGLE_LOSS, OFFAXIS, math.acos(math.sqrt(2) - 1)),
+        (ScenarioId.TWO_PHOTON_POLARIZATION, None, math.pi / 4),
+        (ScenarioId.HOFMANN_CASCADE, None, math.pi / 4),
+        (ScenarioId.CLASSICAL_POLARIZATION, None, math.pi / 8),
+    ],
+)
+def test_extremum_lies_on_the_analytic_stationary_point(scenario, angles, analytic):
+    # comparing values stalls ~sqrt(eps) ~ 1e-8 away from a flat extremum
+    for steps in (101, 1001):
+        (extremum,) = sweep(scenario, steps, angles).extrema
+        assert abs(extremum.gamma - analytic) < 1e-10
+
+
 def test_classical_sweep_is_non_monotonic():
     result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 101)
     assert result.verdict is Verdict.NON_MONOTONIC
@@ -202,5 +231,7 @@ def test_pruning_threshold_does_not_move_probabilities():
         f = probability_function(scenario, angles)
         defaults = [f(g) for g in gammas]
         with prune_threshold(0.0):
-            unpruned = [f(g) for g in gammas]
+            # built inside the block: the curve is compiled when it is built
+            unpruned_f = probability_function(scenario, angles)
+            unpruned = [unpruned_f(g) for g in gammas]
         assert all(abs(a - b) < 1e-12 for a, b in zip(defaults, unpruned))

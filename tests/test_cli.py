@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -162,3 +163,46 @@ def test_probabilities_emitted_within_unit_interval(capsys):
                 continue
             p = float(line.split(",")[1])
             assert 0.0 <= p <= 1.0
+
+
+REJECTED = [
+    ("classical-polarization", {"theta1": "nan"}),
+    ("classical-polarization", {"theta2": "-inf"}),
+    ("classical-polarization", {"amplitude": "inf"}),
+    ("classical-polarization", {"amplitude": "1e100"}),
+    ("hom2", {"beta": "0.3", "theta": "1.0"}),
+    ("hom2", {"theta1": "0.3"}),
+    ("single-loss", {"beta": "0.3", "theta": "1.0", "eta": "0.5"}),
+    ("single-deliberate", {"beta": "nan", "theta": "1.0"}),
+    ("hofmann-cascade", {"eta": "nan"}),
+]
+
+
+@pytest.mark.parametrize("scenario,flags", REJECTED)
+def test_bad_or_unused_flags_are_rejected_by_cli_and_library(scenario, flags, capsys):
+    argv = ["--scenario", scenario, "--format", "json"]
+    argv += [f"--{name}={value}" for name, value in flags.items()]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("fockproj: error: --")
+    # the same values handed to the library are refused too
+    config = cli.RunConfig(ScenarioId(scenario), **{k: float(v) for k, v in flags.items()})
+    with pytest.raises(ValueError):
+        cli.run(config)
+
+
+def test_non_finite_json_value_exits_with_code_3(monkeypatch, capsys):
+    sweep = cli.analysis.sweep
+
+    def infinite(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        return dataclasses.replace(result, closed_forms=(math.inf,) + result.closed_forms[1:])
+
+    monkeypatch.setattr(cli.analysis, "sweep", infinite)
+    code, out, err = _run_capture(["--scenario", "hom2", "--steps", "11", "--format", "json"], capsys)
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "invariant violation" in err

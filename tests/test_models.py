@@ -177,8 +177,3 @@ def test_scenario_unitary_shapes():
     with pytest.raises(UnsupportedScenarioError):
         models.scenario_unitary(ScenarioId.CLASSICAL_POLARIZATION)
 
-
-def test_scenario_id_from_name():
-    assert ScenarioId.from_name("hom4-coincidence") is ScenarioId.HOM4_COINCIDENCE
-    with pytest.raises(UnsupportedScenarioError):
-        ScenarioId.from_name("not-a-scenario")

@@ -11,10 +11,12 @@ from fockproj import (
     ProbabilityRangeError,
     ProjectorAngles,
     ScenarioId,
+    StateEnsemble,
     UnsupportedScenarioError,
     basis_ket,
     classical_intensity,
     event_sum,
+    fidelity,
     hofmann_cascade,
     indistinguishability,
     lift,
@@ -26,7 +28,7 @@ from fockproj import (
     single_photon_projector,
     two_photon_xi,
 )
-from fockproj.analysis import Verdict, classify_monotonicity
+from fockproj.analysis import Verdict, classify_monotonicity, probability_function, sweep
 
 GRID_21 = [i * math.pi / 2 / 20 for i in range(21)]
 SQ2 = math.sqrt(2.0)
@@ -232,6 +234,49 @@ def test_proper_projection_recovers_overlap_probability(scenario, gamma_grid):
         assert abs(p - indistinguishability(scenario, g)) < 1e-11
 
 
+OFFAXIS = ProjectorAngles(math.pi / 8, math.pi)
+PROPER = ProjectorAngles(math.pi / 4, 0.0)
+DELAY_SCENARIOS = (ScenarioId.HOM2, ScenarioId.HOM4_COINCIDENCE, ScenarioId.HOM4_BUNCHING)
+
+
+def _engine_measurement(scenario, angles, detectors):
+    """The scenario's projector function on the lifted state, point by point."""
+    if scenario in DELAY_SCENARIOS:
+        return lambda out: event_sum(out, scenario_events(scenario))
+    if scenario is ScenarioId.SINGLE_LOSS:
+        return lambda out: loss_marginal_projection(out, single_photon_projector(angles))
+    if scenario is ScenarioId.TWO_PHOTON_POLARIZATION:
+        return lambda out: pure_projection(out, two_photon_xi())
+    if scenario is ScenarioId.HOFMANN_CASCADE:
+        return lambda out: hofmann_cascade(out, detectors)
+    return lambda out: pure_projection(out, single_photon_projector(angles))
+
+
+@pytest.mark.parametrize(
+    "scenario,angles,detectors",
+    [(s, None, None) for s in DELAY_SCENARIOS + (ScenarioId.TWO_PHOTON_POLARIZATION,)]
+    + [
+        (s, a, None)
+        for s in (ScenarioId.SINGLE_DELIBERATE, ScenarioId.SINGLE_LOSS, ScenarioId.SINGLE_PHASE_NOISE)
+        for a in (OFFAXIS, PROPER)
+    ]
+    + [(ScenarioId.HOFMANN_CASCADE, None, DetectorModel(eta)) for eta in (0.5, 1.0)],
+)
+def test_compiled_curves_match_engine_composition(scenario, angles, detectors):
+    # the table's quadratic form against lift + measurement at every point
+    measure = _engine_measurement(scenario, angles, detectors)
+    u = models.scenario_unitary(scenario)
+    reference = models.scenario_reference(scenario)
+    f = probability_function(scenario, angles, detectors)
+    result = sweep(scenario, 101, angles, detectors)
+    for g, p, overlap in zip(result.gammas, result.probabilities, result.indistinguishability):
+        state = models.scenario_state(scenario, g)
+        engine = measure(state if isinstance(state, StateEnsemble) else lift(u, state))
+        assert abs(f(g) - engine) < 1e-12
+        assert abs(p - engine) < 1e-12
+        assert abs(overlap - fidelity(reference, state)) < 1e-12
+
+
 def test_two_photon_xi_amplitudes():
     xi = two_photon_xi()
     assert abs(xi.amplitude((2, 0)) - math.sqrt(2 / 3)) < 1e-14
@@ -303,3 +348,6 @@ def test_classical_intensity_validates_arguments():
         classical_intensity(-0.1, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         classical_intensity(0.1, 0.0, 0.0, -1.0)
+    for bad in ((math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf), (0.0, 0.0, 1e100)):
+        with pytest.raises(ValueError):
+            classical_intensity(0.1, *bad)
