@@ -20,6 +20,7 @@ from .models import GAMMA_MAX, ScenarioId
 from .projectors import DetectorModel, ProjectorAngles
 
 DEFAULT_STEPS = 101
+MAX_STEPS = 100_001  # grid cap: a larger sweep is refused before anything is built
 MONOTONICITY_TOL = 1e-9
 EXTREMUM_GAMMA_TOL = 1e-10
 
@@ -106,19 +107,26 @@ def probability_function(
     return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0])
 
 
+def _steps(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign of every first difference of `values` outside +-tol."""
+    diffs = np.diff(values)
+    index = np.flatnonzero(np.abs(diffs) > tol)
+    return index, np.sign(diffs[index])
+
+
 def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL) -> Verdict:
-    """Verdict on a sampled curve: steps within +-tol count as flat."""
-    samples = list(values)
-    if len(samples) < 3:
+    """Verdict on a sampled curve: steps within +-tol count as flat; a non-finite sample raises."""
+    samples = np.fromiter(values, dtype=float)
+    if samples.size < 3:
         raise ValueError("need at least 3 samples to classify monotonicity")
-    diffs = [b - a for a, b in zip(samples, samples[1:])]
-    non_decreasing = all(d >= -tol for d in diffs)
-    non_increasing = all(d <= tol for d in diffs)
-    if non_decreasing and non_increasing:
+    if not np.isfinite(samples).all():
+        raise ValueError("cannot classify a curve with a sample that is not finite")
+    signs = set(_steps(samples, tol)[1].tolist())
+    if not signs:
         return Verdict.CONSTANT
-    if non_decreasing:
+    if signs == {1.0}:
         return Verdict.NON_DECREASING
-    if non_increasing:
+    if signs == {-1.0}:
         return Verdict.NON_INCREASING
     return Verdict.NON_MONOTONIC
 
@@ -127,63 +135,51 @@ _SLOPE_STEP = 1e-5
 
 
 def stationary_point(
-    f: Callable[[float], float],
+    curve: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     kind: ExtremumKind,
     tol: float = EXTREMUM_GAMMA_TOL,
 ) -> tuple[float, float]:
-    """Locate the single extremum of f inside [lo, hi] to `tol` in gamma.
+    """Locate the single extremum of `curve` inside [lo, hi] to `tol` in gamma.
 
-    Bisects on the sign of the slope f(x + h) - f(x - h).  Comparing
-    values can only narrow an extremum down to its flat top, ~sqrt(eps)
-    wide; the slope changes sign within ~eps / h + h^2 of it.
+    Bisects on the sign of the slope f(x + h) - f(x - h), both evaluated
+    in one call of the array curve.  Comparing values can only narrow an
+    extremum down to its flat top, ~sqrt(eps) wide; the slope changes
+    sign within ~eps / h + h^2 of it.
     """
     rising = 1.0 if kind is ExtremumKind.MAX else -1.0
     h = _SLOPE_STEP
     a, b = lo, hi
     while b - a > tol:
         x = 0.5 * (a + b)
-        if rising * (f(min(x + h, GAMMA_MAX)) - f(max(x - h, 0.0))) > 0.0:
+        above, below = curve(np.array([min(x + h, GAMMA_MAX), max(x - h, 0.0)])).tolist()
+        if rising * (above - below) > 0.0:
             a = x
         else:
             b = x
     x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _arguments(params: dict) -> tuple:
-    """(angles, detectors, keyword arguments) of the calls that produced `params`."""
-    angles = ProjectorAngles(params["beta"], params["theta"]) if "beta" in params else None
-    detectors = DetectorModel(params["eta"]) if "eta" in params else None
-    extra = {k: params[k] for k in ("theta1", "theta2", "amplitude") if k in params}
-    return angles, detectors, extra
+    return x, float(curve(np.array([x]))[0])
 
 
 def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Extremum, ...]:
-    """Interior extrema of the sampled curve, refined on the engine function.
+    """Interior extrema of the sampled curve, refined on its compiled curve.
 
-    Scans the first differences for sign changes (runs flatter than `tol`
-    are skipped over) and narrows each bracket by `stationary_point`.
-    Monotone and constant curves yield an empty tuple; endpoints are never
-    reported.
+    Two consecutive steps outside +-tol with opposite signs, j < k, bracket
+    an extremum on [gammas[j], gammas[k + 1]] (flatter steps are skipped
+    over), which `stationary_point` narrows.  Monotone and constant curves
+    yield an empty tuple; endpoints are never reported.
     """
-    angles, detectors, extra = _arguments(result.params)
-    f = probability_function(result.scenario, angles, detectors, **extra)
-    g, p = result.gammas, result.probabilities
-    diffs = [b - a for a, b in zip(p, p[1:])]
-    found: list[Extremum] = []
-    last_sign = 0
-    last_idx = 0
-    for j, d in enumerate(diffs):
-        sign = 1 if d > tol else (-1 if d < -tol else 0)
-        if sign == 0:
-            continue
-        if last_sign == -sign:
-            kind = ExtremumKind.MAX if sign < 0 else ExtremumKind.MIN
-            found.append(Extremum(*stationary_point(f, g[last_idx], g[j + 1], kind), kind))
-        last_sign = sign
-        last_idx = j
+    index, signs = _steps(np.array(result.probabilities), tol)
+    turns = np.flatnonzero(signs[1:] == -signs[:-1]).tolist()
+    if not turns:
+        return ()
+    curve = projectors.scenario_curve(result.scenario, result.params)
+    g, found = result.gammas, []
+    for t in turns:
+        kind = ExtremumKind.MAX if signs[t] > 0 else ExtremumKind.MIN
+        x, value = stationary_point(curve, g[index[t]], g[index[t + 1] + 1], kind)
+        found.append(Extremum(x, value, kind))
     return tuple(found)
 
 
@@ -198,14 +194,14 @@ def sweep(
     amplitude: Optional[float] = None,
 ) -> SweepResult:
     """Evaluate a scenario on a uniform gamma grid over [0, pi/2]."""
-    if steps < 3:
-        raise ValueError(f"steps must be at least 3, got {steps}")
+    if not 3 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [3, {MAX_STEPS}], got {steps}")
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
     spec = models.SCENARIOS[scenario]
     gammas = tuple(i * GAMMA_MAX / (steps - 1) for i in range(steps))
     grid = np.array(gammas)
     probabilities = tuple(projectors.scenario_curve(scenario, params)(grid).tolist())
-    quantum = spec.coefficients is not None
+    quantum = scenario in models.QUANTUM_SCENARIOS
     indist = tuple(projectors.overlap_curve(scenario)(grid).tolist()) if quantum else None
     result = SweepResult(
         scenario=scenario,

@@ -75,8 +75,8 @@ def parse_args(argv) -> RunConfig:
     """Parse and validate argv; exits with status 1 on any usage problem."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.steps < 3:
-        parser.error("--steps must be at least 3")
+    if not 3 <= ns.steps <= analysis.MAX_STEPS:
+        parser.error(f"--steps must lie in [3, {analysis.MAX_STEPS}]")
     scenario = ScenarioId(ns.scenario)
     given = {p.name: getattr(ns, p.name) for p in models.PARAMETERS}
     try:
@@ -118,7 +118,7 @@ def render_csv(result: analysis.SweepResult) -> str:
     Probabilities are clamped to [0, 1] for reporting except in the
     classical scenario, whose column is an intensity.
     """
-    clamp = models.SCENARIOS[result.scenario].probability
+    clamp = result.scenario in models.QUANTUM_SCENARIOS
     lines = ["gamma,probability,closed_form,indistinguishability"]
     for i, gamma in enumerate(result.gammas):
         p = result.probabilities[i]
@@ -137,7 +137,7 @@ def render_csv(result: analysis.SweepResult) -> str:
 
 def render_json(result: analysis.SweepResult) -> str:
     """JSON mirror of the sweep result with 12-significant-digit floats."""
-    clamp = models.SCENARIOS[result.scenario].probability
+    clamp = result.scenario in models.QUANTUM_SCENARIOS
 
     def num(x: float) -> float:
         return float(_fmt(x))
@@ -165,10 +165,11 @@ def render_json(result: analysis.SweepResult) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one sweep and write the table; returns the exit status."""
-    angles = None
-    if config.beta is not None and config.theta is not None:
-        angles = ProjectorAngles(config.beta, config.theta)
+    """Execute one sweep and write the table; returns the exit status.  Parameters
+    are checked first, so a lone projector angle names its missing partner."""
+    given = {p.name: getattr(config, p.name) for p in models.PARAMETERS}
+    models.checked_params(config.scenario, given)
+    angles = ProjectorAngles(config.beta, config.theta) if config.beta is not None else None
     detectors = DetectorModel(config.eta) if config.eta is not None else None
     try:
         result = analysis.sweep(

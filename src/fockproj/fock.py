@@ -36,8 +36,8 @@ def prune_threshold(value: float) -> Iterator[None]:
     """Temporarily override the amplitude pruning threshold.
 
     Testing hook used to confirm that pruning never shifts a reported
-    probability.  Not safe to use concurrently with state construction in
-    other threads.
+    probability.  It is read when a state is built and each time a curve
+    is evaluated.  Not safe to use concurrently with either in other threads.
     """
     global _prune_tol
     previous = _prune_tol

@@ -182,7 +182,6 @@ class ScenarioSpec(NamedTuple):
     events: tuple = ()
     outcomes: Optional[Callable[[dict], list]] = None
     gain: Callable[[dict], float] = lambda p: 1.0
-    probability: bool = True
 
     def closed(self, g: float, params: dict) -> float:
         return self.closed_form(g, math.cos(g), math.sin(g), params)
@@ -249,7 +248,6 @@ SCENARIOS = {
     ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec(
         (THETA1, THETA2, AMPLITUDE),
         lambda g, c, s, p: _intensity(g, p["theta1"], p["theta2"], p["amplitude"]),
-        probability=False,
     ),
 }
 

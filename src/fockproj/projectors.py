@@ -227,7 +227,7 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[[np.ndarray],
     """A scenario's measured curve on an array of angles, for checked `params`;
     the classical intensity has no state, so its curve is its closed form."""
     spec = models.SCENARIOS[scenario]
-    if spec.probability:
+    if scenario in models.QUANTUM_SCENARIOS:
         outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
         return _quadratic_form(spec, outcomes, spec.transform, spec.gain(params))
     return lambda gammas: np.array([spec.closed(g, params) for g in gammas.tolist()])

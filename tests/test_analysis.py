@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fockproj import DetectorModel, ProjectorAngles, ScenarioId, prune_threshold
+from fockproj import DetectorModel, ProjectorAngles, ScenarioId, models, prune_threshold
 from fockproj.analysis import (
+    MAX_STEPS,
     ExtremumKind,
     Verdict,
     classify_monotonicity,
@@ -121,6 +122,12 @@ def test_sweep_rejects_too_few_steps():
         sweep(ScenarioId.HOM2, 2)
 
 
+def test_sweep_refuses_a_grid_above_the_cap():
+    # the cap is checked first, before the missing angles are noticed
+    with pytest.raises(ValueError, match="steps"):
+        sweep(ScenarioId.SINGLE_DELIBERATE, MAX_STEPS + 1)
+
+
 def test_sweep_requires_angles_for_single_photon_scenarios():
     with pytest.raises(ValueError):
         sweep(ScenarioId.SINGLE_DELIBERATE, 11)
@@ -142,6 +149,40 @@ def test_classify_monotonicity_tolerance_absorbs_noise():
 def test_classify_monotonicity_needs_three_points():
     with pytest.raises(ValueError):
         classify_monotonicity([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "values", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf], [-math.inf, 0.0, 1.0]]
+)
+def test_classify_monotonicity_refuses_non_finite_samples(values):
+    with pytest.raises(ValueError, match="finite"):
+        classify_monotonicity(values)
+
+
+def test_classify_monotonicity_accepts_any_sequence():
+    assert classify_monotonicity(0.1 * i for i in range(5)) is Verdict.NON_DECREASING
+    assert classify_monotonicity((3, 2, 2)) is Verdict.NON_INCREASING
+
+
+def _seeded_params(rng, scenario):
+    # a draw inside each schema range, kept to moderate magnitudes
+    return {
+        p.name: rng.uniform(max(p.lo, -4.0), min(p.hi, 4.0))
+        for p in models.SCENARIOS[scenario].params
+    }
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_non_monotonic_verdict_exactly_when_extrema_are_found(scenario):
+    rng = random.Random(f"turns:{scenario.value}")
+    for steps in (3, 11, 101):
+        for _ in range(4):
+            params = _seeded_params(rng, scenario)
+            beta, theta, eta = (params.pop(k, None) for k in ("beta", "theta", "eta"))
+            angles = None if beta is None else ProjectorAngles(beta, theta)
+            detectors = None if eta is None else DetectorModel(eta)
+            result = sweep(scenario, steps, angles, detectors, **params)
+            assert (result.verdict is Verdict.NON_MONOTONIC) == bool(result.extrema)
 
 
 def test_find_extrema_deliberate_minimum_is_zero():
@@ -231,7 +272,8 @@ def test_pruning_threshold_does_not_move_probabilities():
         f = probability_function(scenario, angles)
         defaults = [f(g) for g in gammas]
         with prune_threshold(0.0):
-            # built inside the block: the curve is compiled when it is built
+            # built and evaluated inside the block: the threshold is read when the
+            # basis is lifted and again each time the curve is evaluated
             unpruned_f = probability_function(scenario, angles)
             unpruned = [unpruned_f(g) for g in gammas]
         assert all(abs(a - b) < 1e-12 for a, b in zip(defaults, unpruned))

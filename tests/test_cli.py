@@ -1,10 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fockproj import cli
+from fockproj import analysis, cli, models
 from fockproj.models import ScenarioId
 
 
@@ -62,6 +68,27 @@ def test_too_few_steps_is_usage_error(capsys):
         cli.parse_args(["--scenario", "hom2", "--steps", "2"])
     assert exc.value.code == cli.EXIT_USAGE
     assert "--steps" in capsys.readouterr().err
+
+
+def test_too_many_steps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--scenario", "hom2", "--steps", str(analysis.MAX_STEPS + 1)])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--steps" in err
+
+
+@pytest.mark.parametrize(
+    "scenario,angle,message",
+    [
+        (ScenarioId.SINGLE_DELIBERATE, {"beta": 0.3}, "theta is required"),
+        (ScenarioId.SINGLE_DELIBERATE, {"theta": 0.3}, "beta is required"),
+        (ScenarioId.HOM2, {"beta": 0.3}, "beta is not used"),
+    ],
+)
+def test_lone_projector_angle_is_named_by_run(scenario, angle, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        cli.run(cli.RunConfig(scenario, **angle))
 
 
 def test_hom2_csv_output(capsys):
@@ -206,3 +233,76 @@ def test_non_finite_json_value_exits_with_code_3(monkeypatch, capsys):
     assert code == cli.EXIT_INVARIANT
     assert out == ""
     assert len(err.splitlines()) == 1 and "invariant violation" in err
+
+
+# -- argv fuzz: a finite table with exit 0, or exit 1/2/3 with one stderr line
+
+_VALUE_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e100", "2e77", "abc", ""]),
+)
+_JUNK = st.one_of(
+    st.tuples(st.sampled_from([p.name for p in models.PARAMETERS]), _VALUE_TEXT).map(
+        lambda kv: f"--{kv[0]}={kv[1]}"
+    ),
+    st.sampled_from(["--scenario=bogus", "--steps=x", "--format=xml", "--bogus", "stray"]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    scenario = draw(st.sampled_from(list(ScenarioId)))
+    argv = [f"--scenario={scenario.value}"]
+    for p in models.SCENARIOS[scenario].params:
+        if p.default is None or draw(st.booleans()):
+            value = draw(st.floats(max(p.lo, -10.0), min(p.hi, 10.0)))
+            argv.append(f"--{p.name}={value!r}")
+    steps = draw(st.one_of(st.none(), st.integers(-1, 50), st.just(analysis.MAX_STEPS + 1)))
+    if steps is not None:
+        argv.append(f"--steps={steps}")
+    argv.append(draw(st.sampled_from(["", "--format=csv", "--format=json"])))
+    argv.append(draw(st.sampled_from(["", "--output=-", "--output=FILE", "--output=DIR"])))
+    argv += draw(st.lists(_JUNK, max_size=2))
+    return draw(st.permutations([a for a in argv if a]))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    assert math.isfinite(value)
+    return value
+
+
+def _check_table(text: str) -> None:
+    if text.startswith("{"):
+        payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert len(payload["gammas"]) == payload["steps"] == len(payload["probabilities"])
+        return
+    header, *lines = text.splitlines()
+    assert header == "gamma,probability,closed_form,indistinguishability"
+    rows = [line.split(",") for line in lines if not line.startswith("# ")]
+    footer = dict(line[2:].split(",", 1) for line in lines if line.startswith("# "))
+    assert len(rows) == int(footer["steps"])
+    for row in rows:
+        [_finite(cell) for cell in row if cell]
+    _finite(footer["max_closed_form_deviation"])
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_gives_a_table_or_one_line_reason(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "table"
+        argv = [a.replace("FILE", str(target)).replace("DIR", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code == cli.EXIT_OK:
+            assert err.getvalue() == ""
+            _check_table(target.read_text() if target.exists() else out.getvalue())
+        else:
+            assert code in (cli.EXIT_USAGE, cli.EXIT_IO, cli.EXIT_INVARIANT)
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()

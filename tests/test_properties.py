@@ -116,6 +116,24 @@ def test_phase_noise_curves_never_turn_around(beta, theta):
     )
 
 
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=12),
+    st.one_of(st.sampled_from([0.0, 1e-9, 0.25]), st.floats(min_value=0.0, max_value=1.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_classify_monotonicity_matches_its_definition(values, tol):
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    non_decreasing = all(d >= -tol for d in diffs)
+    non_increasing = all(d <= tol for d in diffs)
+    expected = {
+        (True, True): Verdict.CONSTANT,
+        (True, False): Verdict.NON_DECREASING,
+        (False, True): Verdict.NON_INCREASING,
+        (False, False): Verdict.NON_MONOTONIC,
+    }[non_decreasing, non_increasing]
+    assert classify_monotonicity(values, tol) is expected
+
+
 @given(st.floats(min_value=0.0, max_value=math.pi / 2))
 @settings(max_examples=60, deadline=None)
 def test_proper_projection_bounded_and_matches_overlap(gamma):
