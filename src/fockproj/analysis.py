@@ -8,8 +8,9 @@ scenario does not use raises ValueError.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -64,9 +65,7 @@ class SweepResult:
     params: dict
 
     def max_closed_form_deviation(self) -> float:
-        return max(
-            abs(p - c) for p, c in zip(self.probabilities, self.closed_forms)
-        )
+        return float(np.abs(np.subtract(self.probabilities, self.closed_forms)).max())
 
 
 def _params(scenario, angles, detectors, theta1, theta2, amplitude) -> dict:
@@ -89,7 +88,7 @@ def closed_form(
 ) -> float:
     """Analytic value of the measured curve, independent of the Fock engine."""
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
-    return models.SCENARIOS[scenario].closed(models.check_gamma(gamma), params)
+    return float(models.SCENARIOS[scenario].closed(models.check_gamma(gamma), params))
 
 
 def probability_function(
@@ -108,27 +107,32 @@ def probability_function(
 
 
 def _steps(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index and sign of every first difference of `values` outside +-tol."""
+    """Index and sign of every first difference of `values` outside +-tol (finite, >= 0)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    if values.size < 3:
+        raise ValueError("need at least 3 samples to classify monotonicity")
+    if not np.isfinite(values).all():
+        raise ValueError("cannot classify a curve with a sample that is not finite")
     diffs = np.diff(values)
     index = np.flatnonzero(np.abs(diffs) > tol)
     return index, np.sign(diffs[index])
 
 
-def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL) -> Verdict:
-    """Verdict on a sampled curve: steps within +-tol count as flat; a non-finite sample raises."""
-    samples = np.fromiter(values, dtype=float)
-    if samples.size < 3:
-        raise ValueError("need at least 3 samples to classify monotonicity")
-    if not np.isfinite(samples).all():
-        raise ValueError("cannot classify a curve with a sample that is not finite")
-    signs = set(_steps(samples, tol)[1].tolist())
-    if not signs:
+def _verdict(signs: np.ndarray) -> Verdict:
+    kinds = set(signs.tolist())
+    if not kinds:
         return Verdict.CONSTANT
-    if signs == {1.0}:
+    if kinds == {1.0}:
         return Verdict.NON_DECREASING
-    if signs == {-1.0}:
+    if kinds == {-1.0}:
         return Verdict.NON_INCREASING
     return Verdict.NON_MONOTONIC
+
+
+def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL) -> Verdict:
+    """Verdict on a sampled curve: steps within +-tol count as flat; a non-finite sample raises."""
+    return _verdict(_steps(np.fromiter(values, dtype=float), tol)[1])
 
 
 _SLOPE_STEP = 1e-5
@@ -162,6 +166,15 @@ def stationary_point(
     return x, float(curve(np.array([x]))[0])
 
 
+def _extrema(curve, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
+    found = []
+    for t in np.flatnonzero(signs[1:] == -signs[:-1]).tolist():
+        kind = ExtremumKind.MAX if signs[t] > 0 else ExtremumKind.MIN
+        x, value = stationary_point(curve, gammas[index[t]], gammas[index[t + 1] + 1], kind)
+        found.append(Extremum(x, value, kind))
+    return tuple(found)
+
+
 def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Extremum, ...]:
     """Interior extrema of the sampled curve, refined on its compiled curve.
 
@@ -171,16 +184,8 @@ def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Ex
     yield an empty tuple; endpoints are never reported.
     """
     index, signs = _steps(np.array(result.probabilities), tol)
-    turns = np.flatnonzero(signs[1:] == -signs[:-1]).tolist()
-    if not turns:
-        return ()
     curve = projectors.scenario_curve(result.scenario, result.params)
-    g, found = result.gammas, []
-    for t in turns:
-        kind = ExtremumKind.MAX if signs[t] > 0 else ExtremumKind.MIN
-        x, value = stationary_point(curve, g[index[t]], g[index[t + 1] + 1], kind)
-        found.append(Extremum(x, value, kind))
-    return tuple(found)
+    return _extrema(curve, result.gammas, index, signs)
 
 
 def sweep(
@@ -193,24 +198,24 @@ def sweep(
     theta2: Optional[float] = None,
     amplitude: Optional[float] = None,
 ) -> SweepResult:
-    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]."""
-    if not 3 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must lie in [3, {MAX_STEPS}], got {steps}")
+    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: every column in
+    one call on the grid, with the curve compiled once and its steps scanned once."""
+    if not (isinstance(steps, numbers.Integral) and 3 <= steps <= MAX_STEPS):
+        raise ValueError(f"steps must be an integer in [3, {MAX_STEPS}], got {steps!r}")
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
-    spec = models.SCENARIOS[scenario]
-    gammas = tuple(i * GAMMA_MAX / (steps - 1) for i in range(steps))
-    grid = np.array(gammas)
-    probabilities = tuple(projectors.scenario_curve(scenario, params)(grid).tolist())
-    quantum = scenario in models.QUANTUM_SCENARIOS
-    indist = tuple(projectors.overlap_curve(scenario)(grid).tolist()) if quantum else None
-    result = SweepResult(
+    grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
+    gammas = tuple(grid.tolist())
+    curve = projectors.scenario_curve(scenario, params)
+    probabilities = curve(grid)
+    overlap = projectors.overlap_curve(scenario) if scenario in models.QUANTUM_SCENARIOS else None
+    index, signs = _steps(probabilities, MONOTONICITY_TOL)
+    return SweepResult(
         scenario=scenario,
         gammas=gammas,
-        probabilities=probabilities,
-        closed_forms=tuple(spec.closed(g, params) for g in gammas),
-        indistinguishability=indist,
-        verdict=classify_monotonicity(probabilities),
-        extrema=(),
+        probabilities=tuple(probabilities.tolist()),
+        closed_forms=tuple(models.SCENARIOS[scenario].closed(grid, params).tolist()),
+        indistinguishability=None if overlap is None else tuple(overlap(grid).tolist()),
+        verdict=_verdict(signs),
+        extrema=_extrema(curve, gammas, index, signs),
         params=params,
     )
-    return dataclasses.replace(result, extrema=find_extrema(result))

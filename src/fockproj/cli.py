@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import analysis, models
 from .models import ScenarioId
@@ -86,82 +89,73 @@ def parse_args(argv) -> RunConfig:
     return RunConfig(scenario, ns.steps, **given, output_format=ns.format, output_path=ns.output)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_CELL = "%.12g"  # every reported number: 12 significant digits
+_COLUMNS = ("gammas", "probabilities", "closed_forms", "indistinguishability")
 
 
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
-
-
-def _metadata(result: analysis.SweepResult) -> dict[str, str]:
-    meta = {
-        "scenario": result.scenario.value,
-        "steps": str(len(result.gammas)),
-        "verdict": result.verdict.value,
-        "max_closed_form_deviation": _fmt(result.max_closed_form_deviation()),
-    }
-    if result.extrema:
-        meta["extrema"] = ";".join(
-            f"{e.kind.value}:{_fmt(e.gamma)}:{_fmt(e.value)}" for e in result.extrema
-        )
-    else:
-        meta["extrema"] = "none"
-    for key, value in result.params.items():
-        meta[key] = _fmt(value)
-    return meta
+def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
+    """The reported columns, named as in JSON, and the footer values, with the
+    scenario parameters among them.  Probabilities are clamped to [0, 1] except
+    in the classical scenario, whose column is an intensity."""
+    probabilities = np.array(result.probabilities)
+    if result.scenario in models.QUANTUM_SCENARIOS:
+        probabilities = probabilities.clip(0.0, 1.0)
+    columns = dict(zip(_COLUMNS, (result.gammas, probabilities.tolist(), result.closed_forms,
+                                  result.indistinguishability)))
+    footer = dict(result.params, scenario=result.scenario.value, verdict=result.verdict.value,
+                  steps=len(result.gammas),
+                  max_closed_form_deviation=result.max_closed_form_deviation())
+    return columns, footer
 
 
 def render_csv(result: analysis.SweepResult) -> str:
-    """Fixed-layout CSV: data rows, then '# key,value' footer lines.
-
-    Probabilities are clamped to [0, 1] for reporting except in the
-    classical scenario, whose column is an intensity.
-    """
-    clamp = result.scenario in models.QUANTUM_SCENARIOS
+    """Fixed-layout CSV: data rows, an empty cell where a column is undefined,
+    then '# key,value' footer lines with the keys sorted."""
+    columns, footer = _table(result)
+    row = ",".join("" if column is None else _CELL for column in columns.values())
     lines = ["gamma,probability,closed_form,indistinguishability"]
-    for i, gamma in enumerate(result.gammas):
-        p = result.probabilities[i]
-        cells = [
-            _fmt(gamma),
-            _fmt(_clamp(p) if clamp else p),
-            _fmt(result.closed_forms[i]),
-            _fmt(result.indistinguishability[i]) if result.indistinguishability else "",
-        ]
-        lines.append(",".join(cells))
-    meta = _metadata(result)
-    for key in sorted(meta):
-        lines.append(f"# {key},{meta[key]}")
+    lines += [row % values for values in zip(*(c for c in columns.values() if c is not None))]
+    footer["extrema"] = ";".join(
+        f"{e.kind.value}:{_CELL % e.gamma}:{_CELL % e.value}" for e in result.extrema
+    ) or "none"
+    for key, value in sorted(footer.items()):
+        lines.append(f"# {key},{value if isinstance(value, str) else _CELL % value}")
     return "\n".join(lines) + "\n"
 
 
 def render_json(result: analysis.SweepResult) -> str:
-    """JSON mirror of the sweep result with 12-significant-digit floats."""
-    clamp = result.scenario in models.QUANTUM_SCENARIOS
-
-    def num(x: float) -> float:
-        return float(_fmt(x))
-
-    payload = {
-        "scenario": result.scenario.value,
-        "steps": len(result.gammas),
-        "gammas": [num(g) for g in result.gammas],
-        "probabilities": [num(_clamp(p) if clamp else p) for p in result.probabilities],
-        "closed_forms": [num(c) for c in result.closed_forms],
-        "indistinguishability": (
-            [num(v) for v in result.indistinguishability]
-            if result.indistinguishability is not None
-            else None
-        ),
-        "verdict": result.verdict.value,
-        "extrema": [
-            {"gamma": num(e.gamma), "value": num(e.value), "kind": e.kind.value}
-            for e in result.extrema
-        ],
-        "params": {k: num(v) for k, v in result.params.items()},
-        "max_closed_form_deviation": num(result.max_closed_form_deviation()),
-    }
+    """JSON mirror of the sweep result; every number is the float of its CSV cell."""
+    columns, footer = _table(result)
+    payload = {name: None if column is None else [float(_CELL % x) for x in column]
+               for name, column in columns.items()}
+    payload.update((key, float(_CELL % value) if isinstance(value, float) else value)
+                   for key, value in footer.items())
+    payload["params"] = {key: payload.pop(key) for key in result.params}
+    payload["extrema"] = [
+        {"gamma": float(_CELL % e.gamma), "value": float(_CELL % e.value), "kind": e.kind.value}
+        for e in result.extrema
+    ]
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    """Replace the file at `path` atomically: write a temp file beside it, then
+    `os.replace` it over `path`; on failure the temp file is removed.  A device
+    or pipe that `path` names is written in place, as it cannot be replaced."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    path = os.path.realpath(path)  # through a symlink, so the link keeps pointing at the table
+    tmp = f"{path}.{os.getpid()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")  # a failure here leaves nothing behind
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def run(config: RunConfig) -> int:
@@ -188,8 +182,7 @@ def run(config: RunConfig) -> int:
         if config.output_path in (None, "-"):
             sys.stdout.write(text)
         else:
-            with open(config.output_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write(config.output_path, text)
     except OSError as exc:
         print(f"fockproj: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -138,11 +138,11 @@ def _phase_member(phi):
 
 
 def _polarization_closed(g, c, s, p):
-    return (4.0 / 3.0) * math.sin(math.pi / 4 + g / 2) ** 2 * math.cos(g / 2) ** 2
+    return (4.0 / 3.0) * np.sin(math.pi / 4 + g / 2) ** 2 * np.cos(g / 2) ** 2
 
 
-def _intensity(g: float, theta1: float, theta2: float, amplitude: float) -> float:
-    return (amplitude / 2.0) ** 4 * math.cos(g - theta1) ** 2 * math.cos(g - theta2) ** 2
+def _intensity(g, theta1: float, theta2: float, amplitude: float):
+    return (amplitude / 2.0) ** 4 * np.cos(g - theta1) ** 2 * np.cos(g - theta2) ** 2
 
 
 def classical_intensity(
@@ -156,7 +156,7 @@ def classical_intensity(
     is not range-guarded.
     """
     t1, t2, amplitude = THETA1.check(theta1), THETA2.check(theta2), AMPLITUDE.check(field_amplitude)
-    return _intensity(check_gamma(gamma), t1, t2, amplitude)
+    return float(_intensity(check_gamma(gamma), t1, t2, amplitude))
 
 
 class ScenarioSpec(NamedTuple):
@@ -168,8 +168,9 @@ class ScenarioSpec(NamedTuple):
     outcome kets are the `events` as basis kets, or else `outcomes(params)`,
     and `gain(params)` scales the whole form (eta^2 for two detectors).
     `closed_form(g, cos g, sin g, params)` is the independent analytic
-    curve.  Classical light has no basis: its closed form is its only
-    model, and its curve is an intensity, neither clamped nor range-guarded.
+    curve, on a float or an array of angles.  Classical light has no basis:
+    its closed form is its only model, and its curve is an intensity,
+    neither clamped nor range-guarded.
     """
 
     params: tuple
@@ -183,8 +184,8 @@ class ScenarioSpec(NamedTuple):
     outcomes: Optional[Callable[[dict], list]] = None
     gain: Callable[[dict], float] = lambda p: 1.0
 
-    def closed(self, g: float, params: dict) -> float:
-        return self.closed_form(g, math.cos(g), math.sin(g), params)
+    def closed(self, g, params: dict):
+        return self.closed_form(g, np.cos(g), np.sin(g), params)
 
 
 _PAIR_BASIS = ((2, 2, 0, 0), (2, 1, 0, 1), (2, 0, 0, 2))

@@ -1,15 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from fockproj import DetectorModel, ProjectorAngles, ScenarioId, models, prune_threshold
+from fockproj import DetectorModel, ProjectorAngles, ScenarioId, models, prune_threshold, transforms
 from fockproj.analysis import (
     MAX_STEPS,
     ExtremumKind,
     Verdict,
     classify_monotonicity,
     closed_form,
+    find_extrema,
     probability_function,
     sweep,
 )
@@ -128,6 +130,14 @@ def test_sweep_refuses_a_grid_above_the_cap():
         sweep(ScenarioId.SINGLE_DELIBERATE, MAX_STEPS + 1)
 
 
+def test_sweep_refuses_a_non_integer_steps():
+    # checked first, before the missing angles are noticed; 10.5 would give an
+    # 11-point grid that runs past pi/2
+    with pytest.raises(ValueError, match="steps"):
+        sweep(ScenarioId.SINGLE_DELIBERATE, 10.5)
+    assert len(sweep(ScenarioId.HOM2, np.int64(11)).gammas) == 11
+
+
 def test_sweep_requires_angles_for_single_photon_scenarios():
     with pytest.raises(ValueError):
         sweep(ScenarioId.SINGLE_DELIBERATE, 11)
@@ -144,6 +154,12 @@ def test_classify_monotonicity_tolerance_absorbs_noise():
     wiggly = [0.5, 0.5 + 3e-10, 0.5 - 3e-10, 0.5]
     assert classify_monotonicity(wiggly) is Verdict.CONSTANT
     assert classify_monotonicity(wiggly, tol=1e-11) is Verdict.NON_MONOTONIC
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+def test_classify_monotonicity_refuses_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        classify_monotonicity([0.0, 0.0, 0.0], tol)
 
 
 def test_classify_monotonicity_needs_three_points():
@@ -172,17 +188,48 @@ def _seeded_params(rng, scenario):
     }
 
 
+def _seeded_sweep_arguments(rng, scenario):
+    params = _seeded_params(rng, scenario)
+    beta, theta, eta = (params.pop(k, None) for k in ("beta", "theta", "eta"))
+    angles = None if beta is None else ProjectorAngles(beta, theta)
+    detectors = None if eta is None else DetectorModel(eta)
+    return angles, detectors, params
+
+
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_non_monotonic_verdict_exactly_when_extrema_are_found(scenario):
     rng = random.Random(f"turns:{scenario.value}")
     for steps in (3, 11, 101):
         for _ in range(4):
-            params = _seeded_params(rng, scenario)
-            beta, theta, eta = (params.pop(k, None) for k in ("beta", "theta", "eta"))
-            angles = None if beta is None else ProjectorAngles(beta, theta)
-            detectors = None if eta is None else DetectorModel(eta)
+            angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
             result = sweep(scenario, steps, angles, detectors, **params)
             assert (result.verdict is Verdict.NON_MONOTONIC) == bool(result.extrema)
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_sweep_closed_forms_match_the_scalar_closed_form(scenario):
+    # the column is one call on the grid array, the scalar one call per gamma
+    angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"closed:{scenario.value}"), scenario)
+    result = sweep(scenario, 101, angles, detectors, **extra)
+    intensity = scenario not in models.QUANTUM_SCENARIOS
+    for gamma, column in zip(result.gammas, result.closed_forms):
+        scalar = closed_form(scenario, gamma, angles, detectors, **extra)
+        assert abs(scalar - column) <= 1e-15 * (abs(column) if intensity else 1.0)
+
+
+@pytest.mark.parametrize(
+    "scenario,lifts",
+    # three basis kets through the delay transform; one coincidence ket pulled back
+    [(ScenarioId.HOM4_COINCIDENCE, 3), (ScenarioId.HOFMANN_CASCADE, 1)],
+)
+def test_a_sweep_compiles_its_curve_once(monkeypatch, scenario, lifts):
+    calls = []
+    lift = transforms.lift
+    monkeypatch.setattr(transforms, "lift", lambda *args: calls.append(args) or lift(*args))
+    result = sweep(scenario, 101)
+    assert result.extrema  # refinement ran, on the same compiled curve
+    assert len(calls) == lifts
+    assert find_extrema(result) == result.extrema  # compiles its own curve
 
 
 def test_find_extrema_deliberate_minimum_is_zero():

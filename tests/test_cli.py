@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockproj import analysis, cli, models
+from fockproj import ProjectorAngles, analysis, cli, models
 from fockproj.models import ScenarioId
 
 
@@ -162,12 +162,56 @@ def test_output_file_written(tmp_path, capsys):
     assert "# scenario,hom2" in text
 
 
+def test_failed_replace_keeps_the_old_output_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "sweep.csv"
+    target.write_text("old table\n")
+    argv = ["--scenario", "hom2", "--steps", "11", "--output", str(target)]
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = _run_capture(argv, capsys)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "cannot write" in err
+    assert target.read_text() == "old table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+    monkeypatch.undo()
+    assert _run_capture(argv, capsys)[0] == cli.EXIT_OK
+    assert target.read_text().startswith("gamma,probability")
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     code, _, err = _run_capture(
         ["--scenario", "hom2", "--steps", "11", "--output", str(tmp_path)], capsys
     )
     assert code == cli.EXIT_IO
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_every_json_number_is_the_float_of_its_csv_cell(scenario):
+    # the off-axis projector makes the single-photon curves turn, so extrema are compared too
+    angles = ProjectorAngles(math.pi / 8, math.pi) if scenario.value.startswith("single-") else None
+    result = analysis.sweep(scenario, 101, angles)
+    payload = json.loads(cli.render_json(result))
+    header, *lines = cli.render_csv(result).splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("# ")]
+    footer = dict(line[2:].split(",", 1) for line in lines if line.startswith("# "))
+    for j, name in enumerate(("gammas", "probabilities", "closed_forms", "indistinguishability")):
+        cells = [row[j] for row in rows]
+        assert payload[name] == (None if cells[0] == "" else [float(cell) for cell in cells])
+    extrema = [] if footer["extrema"] == "none" else footer["extrema"].split(";")
+    assert [(e["kind"], e["gamma"], e["value"]) for e in payload["extrema"]] == [
+        (kind, float(gamma), float(value)) for kind, gamma, value in (e.split(":") for e in extrema)
+    ]
+    assert payload["params"] == {key: float(footer[key]) for key in result.params}
+    assert payload["max_closed_form_deviation"] == float(footer["max_closed_form_deviation"])
+    assert [payload[key] for key in ("scenario", "steps", "verdict")] == [
+        footer["scenario"], int(footer["steps"]), footer["verdict"]
+    ]
 
 
 def test_invariant_violation_exits_with_code_3(monkeypatch, capsys):
