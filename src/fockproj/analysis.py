@@ -88,7 +88,7 @@ def closed_form(
 ) -> float:
     """Analytic value of the measured curve, independent of the Fock engine."""
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
-    return float(models.SCENARIOS[scenario].closed(models.check_gamma(gamma), params))
+    return float(models.SCENARIOS[scenario].closed_form(models.check_gamma(gamma), params))
 
 
 def probability_function(
@@ -136,43 +136,70 @@ def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL
 
 
 _SLOPE_STEP = 1e-5
+_LEVELS = 5  # bisection steps per curve call
 
 
-def stationary_point(
-    curve: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    kind: ExtremumKind,
-    tol: float = EXTREMUM_GAMMA_TOL,
-) -> tuple[float, float]:
-    """Locate the single extremum of `curve` inside [lo, hi] to `tol` in gamma.
+def _halve(edges: list) -> list:
+    """`edges` with 0.5 * (a + b) inserted in every gap (a, b), as a bisection step forms it."""
+    out = edges + edges[1:]
+    out[::2] = edges
+    out[1::2] = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+    return out
 
-    Bisects on the sign of the slope f(x + h) - f(x - h), both evaluated
-    in one call of the array curve.  Comparing values can only narrow an
-    extremum down to its flat top, ~sqrt(eps) wide; the slope changes
-    sign within ~eps / h + h^2 of it.
+
+def _stationary_points(curve, brackets: list, tol: float = EXTREMUM_GAMMA_TOL) -> list:
+    """The extremum (x, f(x)) of `curve` in each bracket (lo, hi, rising), to `tol` in gamma.
+
+    Bisects on the sign of rising * (f(x + h) - f(x - h)): comparing values can
+    only narrow an extremum down to its flat top, ~sqrt(eps) wide, while the
+    slope changes sign within ~eps / h + h^2 of it.  One call of the array
+    curve serves the next `_LEVELS` steps of every open bracket.  It holds the
+    slope pair at each midpoint those steps could visit, formed level by level
+    as a one-step loop forms it, so every step is the same to the bit; and,
+    once some gap is within `tol`, the value wherever the bisection could end.
     """
-    rising = 1.0 if kind is ExtremumKind.MAX else -1.0
-    h = _SLOPE_STEP
-    a, b = lo, hi
-    while b - a > tol:
-        x = 0.5 * (a + b)
-        above, below = curve(np.array([min(x + h, GAMMA_MAX), max(x - h, 0.0)])).tolist()
-        if rising * (above - below) > 0.0:
-            a = x
-        else:
-            b = x
-    x = 0.5 * (a + b)
-    return x, float(curve(np.array([x]))[0])
+    found = [None] * len(brackets)
+    todo = [(i, lo, hi) for i, (lo, hi, _) in enumerate(brackets)]
+    while todo:
+        grids, mids, ends = [], [], []
+        for i, a, b in todo:
+            edges = [a, b]
+            for _ in range(_LEVELS):
+                edges = _halve(edges)
+            grids.append((i, edges, len(mids), len(ends)))
+            mids += edges[1:-1]
+            if min(q - p for p, q in zip(edges, edges[1:])) <= tol:
+                ends += _halve(edges)[1:-1]  # [edges[j], edges[k]] would end at ends[j + k - 1]
+        x, n = np.array(mids), len(mids)
+        values = curve(np.concatenate(
+            [np.minimum(x + _SLOPE_STEP, GAMMA_MAX), np.maximum(x - _SLOPE_STEP, 0.0), ends]
+        )).tolist()
+        above, below, at = values[:n], values[n:2 * n], values[2 * n:]
+        todo = []
+        for i, edges, k, e in grids:
+            rising, lo, hi = brackets[i][2], 0, len(edges) - 1
+            while edges[hi] - edges[lo] > tol and hi - lo > 1:
+                m = (lo + hi) // 2  # edges[m] is the midpoint of [edges[lo], edges[hi]]
+                if rising * (above[k + m - 1] - below[k + m - 1]) > 0.0:
+                    lo = m
+                else:
+                    hi = m
+            a, b = edges[lo], edges[hi]
+            if b - a > tol:
+                todo.append((i, a, b))
+            else:
+                found[i] = (0.5 * (a + b), at[e + lo + hi - 1])
+    return found
 
 
 def _extrema(curve, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
-    found = []
-    for t in np.flatnonzero(signs[1:] == -signs[:-1]).tolist():
-        kind = ExtremumKind.MAX if signs[t] > 0 else ExtremumKind.MIN
-        x, value = stationary_point(curve, gammas[index[t]], gammas[index[t + 1] + 1], kind)
-        found.append(Extremum(x, value, kind))
-    return tuple(found)
+    turns = np.flatnonzero(signs[1:] == -signs[:-1]).tolist()
+    index, signs = index.tolist(), signs.tolist()
+    brackets = [(gammas[index[t]], gammas[index[t + 1] + 1], signs[t]) for t in turns]
+    return tuple(
+        Extremum(x, value, ExtremumKind.MAX if rising > 0 else ExtremumKind.MIN)
+        for (x, value), (_, _, rising) in zip(_stationary_points(curve, brackets), brackets)
+    )
 
 
 def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Extremum, ...]:
@@ -180,8 +207,8 @@ def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Ex
 
     Two consecutive steps outside +-tol with opposite signs, j < k, bracket
     an extremum on [gammas[j], gammas[k + 1]] (flatter steps are skipped
-    over), which `stationary_point` narrows.  Monotone and constant curves
-    yield an empty tuple; endpoints are never reported.
+    over), which a bisection on the sign of the slope narrows.  Monotone and
+    constant curves yield an empty tuple; endpoints are never reported.
     """
     index, signs = _steps(np.array(result.probabilities), tol)
     curve = projectors.scenario_curve(result.scenario, result.params)
@@ -213,7 +240,7 @@ def sweep(
         scenario=scenario,
         gammas=gammas,
         probabilities=tuple(probabilities.tolist()),
-        closed_forms=tuple(models.SCENARIOS[scenario].closed(grid, params).tolist()),
+        closed_forms=tuple(models.SCENARIOS[scenario].closed_form(grid, params).tolist()),
         indistinguishability=None if overlap is None else tuple(overlap(grid).tolist()),
         verdict=_verdict(signs),
         extrema=_extrema(curve, gammas, index, signs),

@@ -146,13 +146,16 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    path = os.path.realpath(path)  # through a symlink, so the link keeps pointing at the table
-    tmp = f"{path}.{os.getpid()}.tmp"
-    handle = open(tmp, "x", encoding="utf-8")  # a failure here leaves nothing behind
+    target = os.path.realpath(path)  # through a symlink, so the link keeps pointing at the table
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        handle = open(tmp, "x", encoding="utf-8")  # a failure here leaves nothing behind
+    except OSError as exc:  # named as asked: the temp file is not the user's
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -122,6 +122,34 @@ def _delay_transform() -> transforms.ModeUnitary:
     return transforms.beamsplitter_5050(0, 1, 4) @ transforms.beamsplitter_5050(2, 3, 4)
 
 
+def _pair_coincidence_closed(g, p):
+    c, s = np.cos(g), np.sin(g)
+    return c**4 / 4.0 + c * c * s * s / 4.0 + 3.0 * s**4 / 8.0
+
+
+def _pair_bunching_closed(g, p):
+    c, s = np.cos(g), np.sin(g)
+    return 3.0 * c * c / 8.0 + s**4 / 16.0
+
+
+def _deliberate_closed(g, p):
+    c, s = np.cos(g), np.sin(g)
+    return (
+        math.cos(p["beta"]) ** 2 * (1.0 - s) / 2.0
+        + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c / 2.0
+        + math.sin(p["beta"]) ** 2 * (1.0 + s) / 2.0
+    )
+
+
+def _loss_closed(g, p):
+    c = np.cos(g)
+    return (
+        c * c * math.cos(p["beta"]) ** 2
+        + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c
+        + math.sin(p["beta"]) ** 2
+    ) / 2.0
+
+
 def _pair_coefficients(g):
     c, s = np.cos(g), np.sin(g)
     return [(c * c, _SQRT2 * c * s, s * s)]
@@ -137,7 +165,7 @@ def _phase_member(phi):
     return (_R2, _R2 * np.exp(1j * phi))
 
 
-def _polarization_closed(g, c, s, p):
+def _polarization_closed(g, p):
     return (4.0 / 3.0) * np.sin(math.pi / 4 + g / 2) ** 2 * np.cos(g / 2) ** 2
 
 
@@ -167,10 +195,10 @@ class ScenarioSpec(NamedTuple):
     `transform` builds U (None: the identity, so nothing is lifted).  The
     outcome kets are the `events` as basis kets, or else `outcomes(params)`,
     and `gain(params)` scales the whole form (eta^2 for two detectors).
-    `closed_form(g, cos g, sin g, params)` is the independent analytic
-    curve, on a float or an array of angles.  Classical light has no basis:
-    its closed form is its only model, and its curve is an intensity,
-    neither clamped nor range-guarded.
+    `closed_form(g, params)` is the independent analytic curve, on a float
+    or an array of angles; it computes only the trigonometry it reads.
+    Classical light has no basis: its closed form is its only model, and
+    its curve is an intensity, neither clamped nor range-guarded.
     """
 
     params: tuple
@@ -184,55 +212,41 @@ class ScenarioSpec(NamedTuple):
     outcomes: Optional[Callable[[dict], list]] = None
     gain: Callable[[dict], float] = lambda p: 1.0
 
-    def closed(self, g, params: dict):
-        return self.closed_form(g, np.cos(g), np.sin(g), params)
-
 
 _PAIR_BASIS = ((2, 2, 0, 0), (2, 1, 0, 1), (2, 0, 0, 2))
 _POLARIZATION_BASIS = ((2, 0), (1, 1), (0, 2))
 
 SCENARIOS = {
     ScenarioId.HOM2: ScenarioSpec(
-        (), lambda g, c, s, p: s * s / 2.0, 4, ((1, 1, 0, 0), (1, 0, 0, 1)),
+        (), lambda g, p: (s := np.sin(g)) * s / 2.0, 4, ((1, 1, 0, 0), (1, 0, 0, 1)),
         lambda g: [(np.cos(g), np.sin(g))],
         # coincidence window: one click per path
         transform=_delay_transform, events=((1, 0, 0, 1), (0, 1, 1, 0)),
     ),
     ScenarioId.HOM4_COINCIDENCE: ScenarioSpec(
-        (), lambda g, c, s, p: c**4 / 4.0 + c * c * s * s / 4.0 + 3.0 * s**4 / 8.0,
-        4, _PAIR_BASIS, _pair_coefficients,
+        (), _pair_coincidence_closed, 4, _PAIR_BASIS, _pair_coefficients,
         # two-per-path coincidence window
         transform=_delay_transform,
         events=((2, 2, 0, 0), (2, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 2), (1, 1, 1, 1), (0, 2, 2, 0)),
     ),
     ScenarioId.HOM4_BUNCHING: ScenarioSpec(
-        (), lambda g, c, s, p: 3.0 * c * c / 8.0 + s**4 / 16.0, 4, _PAIR_BASIS, _pair_coefficients,
+        (), _pair_bunching_closed, 4, _PAIR_BASIS, _pair_coefficients,
         # all four photons exiting the first path
         transform=_delay_transform, events=((4, 0, 0, 0), (3, 0, 1, 0), (2, 0, 2, 0)),
     ),
     ScenarioId.SINGLE_DELIBERATE: ScenarioSpec(
-        (BETA, THETA),
-        lambda g, c, s, p: (
-            math.cos(p["beta"]) ** 2 * (1.0 - s) / 2.0
-            + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c / 2.0
-            + math.sin(p["beta"]) ** 2 * (1.0 + s) / 2.0
-        ),
+        (BETA, THETA), _deliberate_closed,
         2, ((1, 0), (0, 1)), lambda g: [(np.cos(g / 2 + math.pi / 4), np.sin(g / 2 + math.pi / 4))],
         outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
     ),
     ScenarioId.SINGLE_LOSS: ScenarioSpec(
-        (BETA, THETA),
-        lambda g, c, s, p: (
-            c * c * math.cos(p["beta"]) ** 2
-            + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c
-            + math.sin(p["beta"]) ** 2
-        ) / 2.0,
+        (BETA, THETA), _loss_closed,
         3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda g: [(_R2 * np.cos(g), _R2, _R2 * np.sin(g))],
         outcomes=_loss_outcomes,
     ),
     ScenarioId.SINGLE_PHASE_NOISE: ScenarioSpec(
         (BETA, THETA),
-        lambda g, c, s, p: (1.0 + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * c) / 2.0,
+        lambda g, p: (1.0 + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * np.cos(g)) / 2.0,
         2, ((1, 0), (0, 1)), lambda g: [_phase_member(g), _phase_member(-g)], (0.5, 0.5),
         outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
     ),
@@ -242,13 +256,13 @@ SCENARIOS = {
     ),
     ScenarioId.HOFMANN_CASCADE: ScenarioSpec(
         (ETA,),
-        lambda g, c, s, p: 3.0 * p["eta"] * p["eta"] * _polarization_closed(g, c, s, p) / 8.0,
+        lambda g, p: 3.0 * p["eta"] * p["eta"] * _polarization_closed(g, p) / 8.0,
         2, _POLARIZATION_BASIS, _polarization_coefficients,
         outcomes=_cascade_outcomes, gain=lambda p: p["eta"] ** 2,
     ),
     ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec(
         (THETA1, THETA2, AMPLITUDE),
-        lambda g, c, s, p: _intensity(g, p["theta1"], p["theta2"], p["amplitude"]),
+        lambda g, p: _intensity(g, p["theta1"], p["theta2"], p["amplitude"]),
     ),
 }
 

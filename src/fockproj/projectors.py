@@ -230,7 +230,7 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[[np.ndarray],
     if scenario in models.QUANTUM_SCENARIOS:
         outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
         return _quadratic_form(spec, outcomes, spec.transform, spec.gain(params))
-    return lambda gammas: spec.closed(gammas, params)
+    return lambda gammas: spec.closed_form(gammas, params)
 
 
 def overlap_curve(scenario: ScenarioId) -> Callable[[np.ndarray], np.ndarray]:

@@ -4,7 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from fockproj import DetectorModel, ProjectorAngles, ScenarioId, models, prune_threshold, transforms
+import _oracles
+from fockproj import (
+    DetectorModel,
+    ProjectorAngles,
+    ScenarioId,
+    models,
+    projectors,
+    prune_threshold,
+    transforms,
+)
 from fockproj.analysis import (
     MAX_STEPS,
     ExtremumKind,
@@ -230,6 +239,59 @@ def test_a_sweep_compiles_its_curve_once(monkeypatch, scenario, lifts):
     assert result.extrema  # refinement ran, on the same compiled curve
     assert len(calls) == lifts
     assert find_extrema(result) == result.extrema  # compiles its own curve
+
+
+def _hex_extrema(result):
+    return [(e.kind.value, e.gamma.hex(), e.value.hex()) for e in result.extrema]
+
+
+def _reference_hex_extrema(result):
+    curve = projectors.scenario_curve(result.scenario, result.params)
+    found = _oracles.reference_extrema(curve, result.gammas, result.probabilities)
+    return [(kind, x.hex(), value.hex()) for kind, x, value in found]
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_every_extremum_is_the_one_step_bisection_to_the_bit(scenario):
+    rng = random.Random(f"bisect:{scenario.value}")
+    for steps in (3, 11, 101, 1001):
+        for _ in range(4):
+            angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
+            result = sweep(scenario, steps, angles, detectors, **params)
+            assert _hex_extrema(result) == _reference_hex_extrema(result)
+
+
+# polarizers 0.039 apart: both zeros and the peak between them lie within three 101-grid steps
+CLOSE_TURNS = dict(theta1=2.9263573872328643, theta2=2.8875634741545064, amplitude=1.5062245575841724)
+
+
+def test_close_classical_turns_are_the_one_step_bisection_to_the_bit():
+    result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 101, **CLOSE_TURNS)
+    assert [e.kind for e in result.extrema] == [ExtremumKind.MIN, ExtremumKind.MAX, ExtremumKind.MIN]
+    first, _, last = result.extrema
+    assert abs(first.gamma - (CLOSE_TURNS["theta2"] - math.pi / 2)) < 1e-8
+    assert abs(last.gamma - (CLOSE_TURNS["theta1"] - math.pi / 2)) < 1e-8
+    assert _hex_extrema(result) == _reference_hex_extrema(result)
+
+
+@pytest.mark.parametrize("steps", [101, 1001])
+@pytest.mark.parametrize(
+    "scenario,params,turns",
+    [(ScenarioId.CLASSICAL_POLARIZATION, CLOSE_TURNS, 3), (ScenarioId.TWO_PHOTON_POLARIZATION, {}, 1)],
+)
+def test_a_sweep_calls_its_curve_at_most_seven_times(monkeypatch, scenario, params, turns, steps):
+    # one call for the grid, then each call bisects every open bracket five steps
+    # (a bracket of two 101-grid steps takes 29) and, in the last, reads its value
+    calls = []
+    compile_curve = projectors.scenario_curve
+
+    def counted(*args):
+        curve = compile_curve(*args)
+        return lambda gammas: calls.append(len(gammas)) or curve(gammas)
+
+    monkeypatch.setattr(projectors, "scenario_curve", counted)
+    assert len(sweep(scenario, steps, **params).extrema) == turns
+    assert len(calls) <= 7
 
 
 def test_find_extrema_deliberate_minimum_is_zero():

@@ -183,6 +183,15 @@ def test_failed_replace_keeps_the_old_output_and_no_temp_file(tmp_path, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
+def test_missing_output_directory_is_named_as_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_capture(["--scenario", "hom2", "--output", "nodir/x.csv"], capsys)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "nodir/x.csv'" in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     code, _, err = _run_capture(
         ["--scenario", "hom2", "--steps", "11", "--output", str(tmp_path)], capsys
