@@ -34,11 +34,13 @@ CONFIGS = [
 ]
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="sweeps", help="directory for the CSV files")
     parser.add_argument("--steps", type=int, default=1001, help="grid points per sweep")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if not 3 <= args.steps <= analysis.MAX_STEPS:
+        parser.exit(1, f"{parser.prog}: error: --steps must lie in [3, {analysis.MAX_STEPS}]\n")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

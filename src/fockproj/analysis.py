@@ -1,5 +1,5 @@
 """Distinguishability sweeps: engine curves next to their closed forms,
-monotonicity verdicts, and refinement of interior extrema.
+monotonicity verdicts, and the exact interior extrema.
 
 Scenario parameters arrive as `angles`, `detectors` and the classical
 keywords; those left None take the scenario's defaults, and one the
@@ -23,7 +23,6 @@ from .projectors import DetectorModel, ProjectorAngles
 DEFAULT_STEPS = 101
 MAX_STEPS = 100_001  # grid cap: a larger sweep is refused before anything is built
 MONOTONICITY_TOL = 1e-9
-EXTREMUM_GAMMA_TOL = 1e-10
 
 
 class Verdict(enum.Enum):
@@ -47,7 +46,7 @@ class Extremum:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sampled probability curve with its verdict and refined extrema.
+    """Sampled probability curve with its verdict and exact extrema.
 
     `probabilities` holds raw engine values (range-guarded upstream, not
     clamped); `closed_forms` the analytic reference curve;
@@ -135,80 +134,66 @@ def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL
     return _verdict(_steps(np.fromiter(values, dtype=float), tol)[1])
 
 
-_SLOPE_STEP = 1e-5
-_LEVELS = 5  # bisection steps per curve call
+_NODES = np.arange(16) * (math.pi / 8)  # one period, twice the rate a degree-4 curve needs
+_TRIM = 1e-14  # a harmonic smaller than this share of the largest is rounding
+_CIRCLE = 1e-3  # a root this close to |z| = 1 is a stationary point on the real line
+_MERGE = 2e-5  # roots closer than this in angle are one multiple root split by rounding
 
 
-def _halve(edges: list) -> list:
-    """`edges` with 0.5 * (a + b) inserted in every gap (a, b), as a bisection step forms it."""
-    out = edges + edges[1:]
-    out[::2] = edges
-    out[1::2] = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-    return out
+def _stationary_points(curve) -> np.ndarray:
+    """Ascending angles where the slope of `curve` vanishes, from its Fourier coefficients.
 
-
-def _stationary_points(curve, brackets: list, tol: float = EXTREMUM_GAMMA_TOL) -> list:
-    """The extremum (x, f(x)) of `curve` in each bracket (lo, hi, rising), to `tol` in gamma.
-
-    Bisects on the sign of rising * (f(x + h) - f(x - h)): comparing values can
-    only narrow an extremum down to its flat top, ~sqrt(eps) wide, while the
-    slope changes sign within ~eps / h + h^2 of it.  One call of the array
-    curve serves the next `_LEVELS` steps of every open bracket.  It holds the
-    slope pair at each midpoint those steps could visit, formed level by level
-    as a one-step loop forms it, so every step is the same to the bit; and,
-    once some gap is within `tol`, the value wherever the bisection could end.
+    Every curve is a real trigonometric polynomial p(g) = sum_{|k| <= n} c_k z^k,
+    z = e^{ig}, n <= 4, so 16 samples give its c_k exactly and z^n p'(g) is a
+    polynomial of degree 2n whose roots on the unit circle are the stationary
+    points (J. P. Boyd, J. Eng. Math. 56:203-219, 2006).  The roots of a cluster
+    are replaced by their centroid, every other one is polished by Newton steps.
     """
-    found = [None] * len(brackets)
-    todo = [(i, lo, hi) for i, (lo, hi, _) in enumerate(brackets)]
-    while todo:
-        grids, mids, ends = [], [], []
-        for i, a, b in todo:
-            edges = [a, b]
-            for _ in range(_LEVELS):
-                edges = _halve(edges)
-            grids.append((i, edges, len(mids), len(ends)))
-            mids += edges[1:-1]
-            if min(q - p for p, q in zip(edges, edges[1:])) <= tol:
-                ends += _halve(edges)[1:-1]  # [edges[j], edges[k]] would end at ends[j + k - 1]
-        x, n = np.array(mids), len(mids)
-        values = curve(np.concatenate(
-            [np.minimum(x + _SLOPE_STEP, GAMMA_MAX), np.maximum(x - _SLOPE_STEP, 0.0), ends]
-        )).tolist()
-        above, below, at = values[:n], values[n:2 * n], values[2 * n:]
-        todo = []
-        for i, edges, k, e in grids:
-            rising, lo, hi = brackets[i][2], 0, len(edges) - 1
-            while edges[hi] - edges[lo] > tol and hi - lo > 1:
-                m = (lo + hi) // 2  # edges[m] is the midpoint of [edges[lo], edges[hi]]
-                if rising * (above[k + m - 1] - below[k + m - 1]) > 0.0:
-                    lo = m
-                else:
-                    hi = m
-            a, b = edges[lo], edges[hi]
-            if b - a > tol:
-                todo.append((i, a, b))
-            else:
-                found[i] = (0.5 * (a + b), at[e + lo + hi - 1])
-    return found
+    samples = curve(_NODES)
+    c = np.fft.rfft(samples / np.abs(samples).max())[1:5]  # 16 c_k, k = 1..4
+    kept = np.flatnonzero(np.abs(c) > _TRIM * np.abs(c).max())
+    n = kept[-1] + 1 if kept.size else 0
+    c, k = c[:n], np.arange(1, n + 1)
+    poly = np.zeros(2 * n + 1, dtype=complex)  # poly[j] multiplies z^(2n - j)
+    poly[n - k] = 1j * k * c
+    poly[n + k] = -1j * k * np.conj(c)
+    z = np.roots(poly)
+    angles = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) < _CIRCLE]))
+    starts = np.flatnonzero(np.diff(angles, prepend=-math.inf) > _MERGE)
+    sizes = np.diff(starts, append=angles.size)
+    points = np.add.reduceat(angles, starts) / sizes
+    single = sizes == 1
+    for _ in range(2):  # Newton on p'(g) ~ sum k Im(c_k e^{ikg}), p''(g) ~ sum k^2 Re(c_k e^{ikg})
+        terms = c * np.exp(1j * np.outer(points[single], k))
+        points[single] -= (terms.imag * k).sum(axis=1) / (terms.real * k * k).sum(axis=1)
+    return points
 
 
 def _extrema(curve, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
-    turns = np.flatnonzero(signs[1:] == -signs[:-1]).tolist()
-    index, signs = index.tolist(), signs.tolist()
-    brackets = [(gammas[index[t]], gammas[index[t + 1] + 1], signs[t]) for t in turns]
-    return tuple(
-        Extremum(x, value, ExtremumKind.MAX if rising > 0 else ExtremumKind.MIN)
-        for (x, value), (_, _, rising) in zip(_stationary_points(curve, brackets), brackets)
-    )
+    turns = np.flatnonzero(signs[1:] == -signs[:-1])
+    if not turns.size:
+        return ()
+    x = _stationary_points(curve)
+    values = curve(x)
+    found = []
+    for t in turns.tolist():
+        rising = signs[t]
+        inside = np.flatnonzero((gammas[index[t]] < x) & (x < gammas[index[t + 1] + 1]))
+        if inside.size:  # else the sampled turn is rounding: the curve has none there
+            best = inside[np.argmax(rising * values[inside])]  # the first, lower gamma, on a tie
+            kind = ExtremumKind.MAX if rising > 0 else ExtremumKind.MIN
+            found.append(Extremum(float(x[best]), float(values[best]), kind))
+    return tuple(found)
 
 
 def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Extremum, ...]:
-    """Interior extrema of the sampled curve, refined on its compiled curve.
+    """Interior extrema of the sampled curve, located exactly on its compiled curve.
 
     Two consecutive steps outside +-tol with opposite signs, j < k, bracket
     an extremum on [gammas[j], gammas[k + 1]] (flatter steps are skipped
-    over), which a bisection on the sign of the slope narrows.  Monotone and
-    constant curves yield an empty tuple; endpoints are never reported.
+    over).  Of the stationary points strictly inside, the one with the most
+    extreme value is reported.  Monotone and constant curves yield an empty
+    tuple; endpoints are never reported.
     """
     index, signs = _steps(np.array(result.probabilities), tol)
     curve = projectors.scenario_curve(result.scenario, result.params)

@@ -3,8 +3,8 @@
 The transition-amplitude oracle here goes through matrix permanents of
 row/column-repeated submatrices, a completely different route than the
 package's creation-operator expansion, so the two can validate each other.
-The reference bisection takes one step per curve call, in plain loops, as
-the batched refinement of `analysis.sweep` must reproduce bit for bit.
+The analytic stationary points are solved by hand from the closed forms,
+independently of the Fourier roots that `analysis.sweep` reports.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import random
 import numpy as np
 
 from fockproj import FockState, ModeUnitary
-from fockproj.models import GAMMA_MAX
 
 
 def permanent(matrix) -> complex:
@@ -117,30 +116,23 @@ def random_fixed_number_state(rng: random.Random, modes: int, photons: int) -> F
     return state.normalize()
 
 
-def reference_stationary_point(curve, lo: float, hi: float, rising: float, tol: float = 1e-10):
-    """(x, f(x)) where rising * (f(x + h) - f(x - h)) changes sign in [lo, hi],
-    bisected one step per call of the array `curve` until the bracket is within `tol`."""
-    h = 1e-5
-    a, b = lo, hi
-    while b - a > tol:
-        x = 0.5 * (a + b)
-        above, below = curve(np.array([min(x + h, GAMMA_MAX), max(x - h, 0.0)])).tolist()
-        if rising * (above - below) > 0.0:
-            a = x
-        else:
-            b = x
-    x = 0.5 * (a + b)
-    return x, float(curve(np.array([x]))[0])
+def analytic_stationary_points(scenario: str, p: dict) -> list:
+    """Angles near [0, pi/2] where the slope of a single-deliberate, single-loss or
+    classical closed form vanishes, solved by hand from each closed form.
 
-
-def reference_extrema(curve, gammas, values, tol: float = 1e-9) -> list:
-    """(kind, x, f(x)) of every turn of a sampled curve: two consecutive steps
-    outside +-tol with opposite signs, j < k, bracket [gammas[j], gammas[k + 1]]."""
-    steps = [(j, b - a) for j, (a, b) in enumerate(zip(values, values[1:])) if abs(b - a) > tol]
-    found = []
-    for (j, before), (k, after) in zip(steps, steps[1:]):
-        if (before > 0.0) != (after > 0.0):
-            rising = 1.0 if before > 0.0 else -1.0
-            x, value = reference_stationary_point(curve, gammas[j], gammas[k + 1], rising)
-            found.append(("Max" if rising > 0.0 else "Min", x, value))
-    return found
+    deliberate: p' ~ -(cos 2beta cos g + cos theta sin 2beta sin g);
+    loss: p is quadratic in cos g with its vertex at -cos theta tan beta;
+    classical: I ~ q^2 with q = cos(g - theta1) cos(g - theta2).
+    """
+    if scenario == "single-deliberate":
+        base = [math.atan2(-math.cos(2 * p["beta"]), math.cos(p["theta"]) * math.sin(2 * p["beta"]))]
+        period = math.pi
+    elif scenario == "single-loss":
+        vertex = -math.cos(p["theta"]) * math.tan(p["beta"])
+        return [math.acos(vertex)] if -1.0 <= vertex <= 1.0 else []
+    else:
+        t1, t2 = p["theta1"], p["theta2"]
+        base = [(t1 + t2) / 2, (t1 + t2) / 2 + math.pi / 2, t1 + math.pi / 2, t2 + math.pi / 2]
+        period = math.pi
+    shifts = [x - period * math.floor(x / period) for x in base]  # into [0, pi)
+    return sorted(x + k * period for x in shifts for k in (-1, 0, 1))

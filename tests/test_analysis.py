@@ -18,6 +18,7 @@ from fockproj.analysis import (
     MAX_STEPS,
     ExtremumKind,
     Verdict,
+    _stationary_points,
     classify_monotonicity,
     closed_form,
     find_extrema,
@@ -241,37 +242,66 @@ def test_a_sweep_compiles_its_curve_once(monkeypatch, scenario, lifts):
     assert find_extrema(result) == result.extrema  # compiles its own curve
 
 
-def _hex_extrema(result):
-    return [(e.kind.value, e.gamma.hex(), e.value.hex()) for e in result.extrema]
-
-
-def _reference_hex_extrema(result):
-    curve = projectors.scenario_curve(result.scenario, result.params)
-    found = _oracles.reference_extrema(curve, result.gammas, result.probabilities)
-    return [(kind, x.hex(), value.hex()) for kind, x, value in found]
+def _brackets(result, tol=1e-9):
+    """(lo, hi, kind) of every sampled turn: two consecutive steps outside
+    +-tol with opposite signs, j < k, bracket [gammas[j], gammas[k + 1]]."""
+    values, gammas = result.probabilities, result.gammas
+    steps = [(j, b - a) for j, (a, b) in enumerate(zip(values, values[1:])) if abs(b - a) > tol]
+    return [
+        (gammas[j], gammas[k + 1], ExtremumKind.MAX if before > 0.0 else ExtremumKind.MIN)
+        for (j, before), (k, after) in zip(steps, steps[1:])
+        if (before > 0.0) != (after > 0.0)
+    ]
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
-def test_every_extremum_is_the_one_step_bisection_to_the_bit(scenario):
-    rng = random.Random(f"bisect:{scenario.value}")
+def test_every_bracket_yields_one_extremum_strictly_inside(scenario):
+    rng = random.Random(f"brackets:{scenario.value}")
     for steps in (3, 11, 101, 1001):
         for _ in range(4):
             angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
             result = sweep(scenario, steps, angles, detectors, **params)
-            assert _hex_extrema(result) == _reference_hex_extrema(result)
+            brackets = _brackets(result)
+            assert len(result.extrema) == len(brackets)
+            for e, (lo, hi, kind) in zip(result.extrema, brackets):
+                assert e.kind is kind and lo < e.gamma < hi and 0.0 < e.gamma < math.pi / 2
+
+
+@pytest.mark.parametrize(
+    "scenario,bound",
+    [
+        (ScenarioId.SINGLE_DELIBERATE, 1e-12),
+        (ScenarioId.SINGLE_LOSS, 1e-12),
+        # a root of a cluster of width d moves by ~eps / d^2; seeded polarizers are far apart
+        (ScenarioId.CLASSICAL_POLARIZATION, 1e-10),
+    ],
+)
+def test_every_extremum_lies_on_an_analytic_stationary_point(scenario, bound):
+    rng = random.Random(f"analytic:{scenario.value}")
+    found = 0
+    for steps in (3, 11, 101, 1001):
+        for _ in range(25):
+            angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
+            result = sweep(scenario, steps, angles, detectors, **params)
+            analytic = _oracles.analytic_stationary_points(scenario.value, result.params)
+            for e in result.extrema:
+                assert min(abs(e.gamma - x) for x in analytic) < bound
+                found += 1
+    assert found >= 20
 
 
 # polarizers 0.039 apart: both zeros and the peak between them lie within three 101-grid steps
 CLOSE_TURNS = dict(theta1=2.9263573872328643, theta2=2.8875634741545064, amplitude=1.5062245575841724)
 
 
-def test_close_classical_turns_are_the_one_step_bisection_to_the_bit():
+def test_close_classical_turns_lie_on_the_polarizer_zeros():
     result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 101, **CLOSE_TURNS)
     assert [e.kind for e in result.extrema] == [ExtremumKind.MIN, ExtremumKind.MAX, ExtremumKind.MIN]
-    first, _, last = result.extrema
-    assert abs(first.gamma - (CLOSE_TURNS["theta2"] - math.pi / 2)) < 1e-8
-    assert abs(last.gamma - (CLOSE_TURNS["theta1"] - math.pi / 2)) < 1e-8
-    assert _hex_extrema(result) == _reference_hex_extrema(result)
+    first, peak, last = result.extrema
+    assert abs(first.gamma - (CLOSE_TURNS["theta2"] - math.pi / 2)) < 1e-12
+    assert abs(last.gamma - (CLOSE_TURNS["theta1"] - math.pi / 2)) < 1e-12
+    middle = (CLOSE_TURNS["theta1"] + CLOSE_TURNS["theta2"]) / 2 - math.pi / 2
+    assert abs(peak.gamma - middle) < 1e-12
 
 
 @pytest.mark.parametrize("steps", [101, 1001])
@@ -279,9 +309,8 @@ def test_close_classical_turns_are_the_one_step_bisection_to_the_bit():
     "scenario,params,turns",
     [(ScenarioId.CLASSICAL_POLARIZATION, CLOSE_TURNS, 3), (ScenarioId.TWO_PHOTON_POLARIZATION, {}, 1)],
 )
-def test_a_sweep_calls_its_curve_at_most_seven_times(monkeypatch, scenario, params, turns, steps):
-    # one call for the grid, then each call bisects every open bracket five steps
-    # (a bracket of two 101-grid steps takes 29) and, in the last, reads its value
+def test_a_sweep_calls_its_curve_at_most_three_times(monkeypatch, scenario, params, turns, steps):
+    # the grid, the 16 Fourier nodes, and the value at every stationary point
     calls = []
     compile_curve = projectors.scenario_curve
 
@@ -291,7 +320,55 @@ def test_a_sweep_calls_its_curve_at_most_seven_times(monkeypatch, scenario, para
 
     monkeypatch.setattr(projectors, "scenario_curve", counted)
     assert len(sweep(scenario, steps, **params).extrema) == turns
-    assert len(calls) <= 7
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("steps", [3, 101, 1001])
+@pytest.mark.parametrize("d", [0.0, 1e-12, 1e-9, 1e-6, 1e-4])
+def test_coincident_polarizers_give_one_minimum_at_their_zero(steps, d):
+    # cos^4(g - theta): the slope's triple root splits by ~eps^(1/3) and is merged
+    result = sweep(ScenarioId.CLASSICAL_POLARIZATION, steps, theta1=2.5, theta2=2.5 + d)
+    minima = [e for e in result.extrema if e.kind is ExtremumKind.MIN]
+    assert len(minima) == 1
+    assert abs(minima[0].gamma - (2.5 - math.pi / 2)) <= max(1e-10, d)
+
+
+# two zeros 0.029 apart with a turn between them shallower than the tolerance
+HIDDEN_ZEROS = dict(theta1=1.9821824965123502, theta2=1.95331230531348, amplitude=0.6532518923717097)
+
+
+def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value():
+    result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 101, **HIDDEN_ZEROS)
+    (minimum,) = result.extrema
+    assert minimum.kind is ExtremumKind.MIN
+    zeros = [HIDDEN_ZEROS["theta2"] - math.pi / 2, HIDDEN_ZEROS["theta1"] - math.pi / 2]
+    assert min(abs(minimum.gamma - z) for z in zeros) < 1e-12
+    ((lo, hi, _),) = _brackets(result)
+    curve = projectors.scenario_curve(result.scenario, result.params)
+    x = _stationary_points(curve)
+    values = curve(x)[(lo < x) & (x < hi)]
+    assert len(values) == 3  # both zeros and the shallow peak between them
+    assert minimum.value == values.min()
+    assert find_extrema(result) == result.extrema
+
+
+def test_turns_of_rounding_noise_are_not_extrema():
+    # cos(pi/2) ~ 6e-17: the curve is constant up to rounding, which tol 0 reads as turns
+    result = sweep(ScenarioId.SINGLE_PHASE_NOISE, 101, ProjectorAngles(0.3, math.pi / 2))
+    assert result.verdict is Verdict.CONSTANT
+    assert len(_brackets(result, tol=0.0)) > 10
+    assert find_extrema(result, 0.0) == ()
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_every_curve_is_a_trigonometric_polynomial_of_degree_four(scenario):
+    # 16 samples over a period hold harmonics 0..8; a degree above 4 breaks the root finder
+    rng = random.Random(f"degree:{scenario.value}")
+    for _ in range(4):
+        curve = projectors.scenario_curve(scenario, _seeded_params(rng, scenario))
+        samples = curve(np.arange(16) * math.pi / 8)
+        harmonics = np.abs(np.fft.rfft(samples / np.abs(samples).max()))
+        assert harmonics[5:].max() <= 1e-14 * harmonics.max()
 
 
 def test_find_extrema_deliberate_minimum_is_zero():
@@ -337,6 +414,12 @@ def test_refined_extrema_are_stationary(scenario, angles):
         (ScenarioId.HOM4_COINCIDENCE, None, math.acos(math.sqrt(2 / 3))),
         (ScenarioId.SINGLE_DELIBERATE, OFFAXIS, math.pi / 4),
         (ScenarioId.SINGLE_LOSS, OFFAXIS, math.acos(math.sqrt(2) - 1)),
+        # a loss vertex the unpolished root misses by 2e-11
+        (
+            ScenarioId.SINGLE_LOSS,
+            ProjectorAngles(1.5027018415825288, 1.5726324056713223),
+            math.acos(-math.cos(1.5726324056713223) * math.tan(1.5027018415825288)),
+        ),
         (ScenarioId.TWO_PHOTON_POLARIZATION, None, math.pi / 4),
         (ScenarioId.HOFMANN_CASCADE, None, math.pi / 4),
         (ScenarioId.CLASSICAL_POLARIZATION, None, math.pi / 8),
@@ -346,7 +429,7 @@ def test_extremum_lies_on_the_analytic_stationary_point(scenario, angles, analyt
     # comparing values stalls ~sqrt(eps) ~ 1e-8 away from a flat extremum
     for steps in (101, 1001):
         (extremum,) = sweep(scenario, steps, angles).extrema
-        assert abs(extremum.gamma - analytic) < 1e-10
+        assert abs(extremum.gamma - analytic) < 1e-12
 
 
 def test_classical_sweep_is_non_monotonic():

@@ -150,6 +150,19 @@ def test_json_output_mirrors_sweep_fields(capsys):
     assert payload["extrema"] == []
 
 
+def test_largest_amplitude_gives_a_finite_table_and_its_peak(capsys):
+    # (E0/2)^4 = 1e308: the Fourier coefficients overflow unless the samples are scaled first
+    code, out, _ = _run_capture(
+        ["--scenario", "classical-polarization", "--amplitude", "2e77", "--format", "json"], capsys
+    )
+    assert code == cli.EXIT_OK
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+    assert all(math.isfinite(v) for v in payload["probabilities"] + payload["closed_forms"])
+    (peak,) = payload["extrema"]
+    assert peak["kind"] == "Max" and math.isfinite(peak["value"])
+    assert abs(peak["gamma"] - math.pi / 8) < 1e-12
+
+
 def test_output_file_written(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, out, _ = _run_capture(

@@ -1,0 +1,27 @@
+import runpy
+from pathlib import Path
+
+import pytest
+
+from fockproj import analysis
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("steps", ["-1", "0", "2", str(analysis.MAX_STEPS + 1)])
+def test_run_all_scenarios_refuses_steps_outside_the_grid_range(steps, tmp_path, capsys):
+    main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
+    outdir = tmp_path / "sweeps"
+    with pytest.raises(SystemExit) as exc:
+        main(["--steps", steps, "--outdir", str(outdir)])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--steps" in err
+    assert not outdir.exists()
+
+
+def test_run_all_scenarios_writes_every_configuration(tmp_path, capsys):
+    main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
+    main(["--steps", "3", "--outdir", str(tmp_path)])
+    assert len(list(tmp_path.glob("*.csv"))) == 10
+    assert "wrote 10 files" in capsys.readouterr().out
