@@ -8,6 +8,7 @@ scenario does not use raises ValueError.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import numbers
@@ -140,49 +141,54 @@ _CIRCLE = 1e-3  # a root this close to |z| = 1 is a stationary point on the real
 _MERGE = 2e-5  # roots closer than this in angle are one multiple root split by rounding
 
 
-def _stationary_points(curve) -> np.ndarray:
-    """Ascending angles where the slope of `curve` vanishes, from its Fourier coefficients.
+def _stationary_points(samples: np.ndarray) -> list[float]:
+    """Ascending angles where the slope of a curve vanishes, from its `samples` at `_NODES`.
 
     Every curve is a real trigonometric polynomial p(g) = sum_{|k| <= n} c_k z^k,
-    z = e^{ig}, n <= 4, so 16 samples give its c_k exactly and z^n p'(g) is a
-    polynomial of degree 2n whose roots on the unit circle are the stationary
-    points (J. P. Boyd, J. Eng. Math. 56:203-219, 2006).  The roots of a cluster
-    are replaced by their centroid, every other one is polished by Newton steps.
+    z = e^{ig}, n <= 4, so 16 samples give its c_k exactly and z^n p'(g) is a polynomial
+    of degree 2n whose roots on the unit circle, eigenvalues of its companion matrix, are
+    the stationary points (J. P. Boyd, J. Eng. Math. 56:203-219, 2006).  The roots of a
+    cluster are replaced by their centroid, every other one is polished by Newton steps.
     """
-    samples = curve(_NODES)
     c = np.fft.rfft(samples / np.abs(samples).max())[1:5]  # 16 c_k, k = 1..4
     kept = np.flatnonzero(np.abs(c) > _TRIM * np.abs(c).max())
     n = kept[-1] + 1 if kept.size else 0
+    if not n:
+        return []
     c, k = c[:n], np.arange(1, n + 1)
     poly = np.zeros(2 * n + 1, dtype=complex)  # poly[j] multiplies z^(2n - j)
     poly[n - k] = 1j * k * c
     poly[n + k] = -1j * k * np.conj(c)
-    z = np.roots(poly)
-    angles = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) < _CIRCLE]))
-    starts = np.flatnonzero(np.diff(angles, prepend=-math.inf) > _MERGE)
-    sizes = np.diff(starts, append=angles.size)
-    points = np.add.reduceat(angles, starts) / sizes
-    single = sizes == 1
-    for _ in range(2):  # Newton on p'(g) ~ sum k Im(c_k e^{ikg}), p''(g) ~ sum k^2 Re(c_k e^{ikg})
-        terms = c * np.exp(1j * np.outer(points[single], k))
-        points[single] -= (terms.imag * k).sum(axis=1) / (terms.real * k * k).sum(axis=1)
+    companion = np.eye(2 * n, k=-1, dtype=complex)  # as np.roots builds it, without its checks
+    companion[0] = -poly[1:] / poly[0]
+    roots = np.linalg.eigvals(companion).tolist()
+    angles = sorted(cmath.phase(z) for z in roots if abs(abs(z) - 1.0) < _CIRCLE)
+    starts = [i for i, (a, b) in enumerate(zip([-math.inf] + angles, angles)) if b - a > _MERGE]
+    points = []
+    for cluster in (angles[i:j] for i, j in zip(starts, starts[1:] + [len(angles)])):
+        g = sum(cluster) / len(cluster)
+        for _ in range(2 if len(cluster) == 1 else 0):  # Newton on p'(g) ~ sum k Im(c_k e^{ikg})
+            terms = [(m, cm * cmath.exp(1j * (g * m))) for m, cm in enumerate(c.tolist(), 1)]
+            g -= sum(t.imag * m for m, t in terms) / sum(t.real * m * m for m, t in terms)
+        points.append(g)
     return points
 
 
-def _extrema(curve, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
+def _extrema(curve, nodes, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
     turns = np.flatnonzero(signs[1:] == -signs[:-1])
     if not turns.size:
         return ()
-    x = _stationary_points(curve)
-    values = curve(x)
+    x = _stationary_points(nodes)
+    values = curve(np.array(x)).tolist()
     found = []
     for t in turns.tolist():
-        rising = signs[t]
-        inside = np.flatnonzero((gammas[index[t]] < x) & (x < gammas[index[t + 1] + 1]))
-        if inside.size:  # else the sampled turn is rounding: the curve has none there
-            best = inside[np.argmax(rising * values[inside])]  # the first, lower gamma, on a tie
+        rising = float(signs[t])
+        lo, hi = gammas[index[t]], gammas[index[t + 1] + 1]
+        inside = [i for i, g in enumerate(x) if lo < g < hi]
+        if inside:  # else the sampled turn is rounding: the curve has none there
+            best = max(inside, key=lambda i: rising * values[i])  # the first, lower gamma, on a tie
             kind = ExtremumKind.MAX if rising > 0 else ExtremumKind.MIN
-            found.append(Extremum(float(x[best]), float(values[best]), kind))
+            found.append(Extremum(x[best], values[best], kind))
     return tuple(found)
 
 
@@ -197,7 +203,7 @@ def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Ex
     """
     index, signs = _steps(np.array(result.probabilities), tol)
     curve = projectors.scenario_curve(result.scenario, result.params)
-    return _extrema(curve, result.gammas, index, signs)
+    return _extrema(curve, curve(_NODES), result.gammas, index, signs)
 
 
 def sweep(
@@ -210,24 +216,29 @@ def sweep(
     theta2: Optional[float] = None,
     amplitude: Optional[float] = None,
 ) -> SweepResult:
-    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: every column in
-    one call on the grid, with the curve compiled once and its steps scanned once."""
+    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: the curve is compiled once,
+    called on the grid and the Fourier nodes at once, and once more where it turns."""
     if not (isinstance(steps, numbers.Integral) and 3 <= steps <= MAX_STEPS):
         raise ValueError(f"steps must be an integer in [3, {MAX_STEPS}], got {steps!r}")
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
     grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
     gammas = tuple(grid.tolist())
     curve = projectors.scenario_curve(scenario, params)
-    probabilities = curve(grid)
-    overlap = projectors.overlap_curve(scenario) if scenario in models.QUANTUM_SCENARIOS else None
-    index, signs = _steps(probabilities, MONOTONICITY_TOL)
+    at = np.concatenate((grid, _NODES))
+    if scenario in models.QUANTUM_SCENARIOS:
+        values, overlap = curve(at, overlap=True)
+        closed = models.SCENARIOS[scenario].closed_form(grid, params)
+    else:  # classical light has no state: its curve is its closed form, with no overlap
+        values, overlap = curve(at), None
+        closed = values[:steps]
+    index, signs = _steps(values[:steps], MONOTONICITY_TOL)
     return SweepResult(
         scenario=scenario,
         gammas=gammas,
-        probabilities=tuple(probabilities.tolist()),
-        closed_forms=tuple(models.SCENARIOS[scenario].closed_form(grid, params).tolist()),
-        indistinguishability=None if overlap is None else tuple(overlap(grid).tolist()),
+        probabilities=tuple(values[:steps].tolist()),
+        closed_forms=tuple(closed.tolist()),
+        indistinguishability=None if overlap is None else tuple(overlap[:steps].tolist()),
         verdict=_verdict(signs),
-        extrema=_extrema(curve, gammas, index, signs),
+        extrema=_extrema(curve, values[steps:], gammas, index, signs),
         params=params,
     )

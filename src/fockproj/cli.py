@@ -80,6 +80,8 @@ def parse_args(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     if not 3 <= ns.steps <= analysis.MAX_STEPS:
         parser.error(f"--steps must lie in [3, {analysis.MAX_STEPS}]")
+    if ns.output == "":
+        parser.error("--output must name a file, or '-' for stdout")
     scenario = ScenarioId(ns.scenario)
     given = {p.name: getattr(ns, p.name) for p in models.PARAMETERS}
     try:
@@ -150,12 +152,15 @@ def _write(path: str, text: str) -> None:
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         handle = open(tmp, "x", encoding="utf-8")  # a failure here leaves nothing behind
-    except OSError as exc:  # named as asked: the temp file is not the user's
+    except OSError as exc:  # named as asked here and below: the temp file is not the user's
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             handle.write(text)
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -202,39 +202,41 @@ def hofmann_cascade(state: FockState, detectors: DetectorModel) -> float:
 
 def _quadratic_form(
     spec: models.ScenarioSpec, outcomes: Sequence[FockState], transform, gain: float = 1.0
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Range-guarded gain * sum_w w sum_o |<o|U psi_w(g)>|^2 on an array of angles.
-    A[o, k] = <o|U b_k> is built once, here (U from `transform`; None: identity)."""
+) -> Callable[..., np.ndarray]:
+    """Range-guarded gain * sum_w w sum_o |<o|U psi_w(g)>|^2 on an array of angles, with
+    `overlap` also sum_w w |<psi(0)|psi_w(g)>|^2.  A[o, k] = <o|U b_k> is built once, here
+    (U from `transform`; None: identity), with a last row conj(c_k(0)), pruned as in a FockState."""
     kets = [basis_ket(b) for b in spec.basis]
     if transform is not None:
         u = transform()
         kets = [transforms.lift(u, k) for k in kets]
-    a = np.array([[inner_product(o, k) for k in kets] for o in outcomes], dtype=complex)
+    reference = [complex(c) for c in spec.coefficients(0.0)[0]]  # the members coincide here
+    overlap_row = [0j if abs(c) <= fock._prune_tol else c.conjugate() for c in reference]
+    a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
 
-    def form(gammas: np.ndarray) -> np.ndarray:
-        total = np.zeros(np.shape(gammas))
+    def form(gammas: np.ndarray, overlap: bool = False):
+        total, overlaps = np.zeros(np.shape(gammas)), np.zeros(np.shape(gammas))
         for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
-            c = np.array(np.broadcast_arrays(*coefficients))
+            c = np.empty((len(coefficients),) + np.shape(gammas), np.result_type(*coefficients))
+            for row, value in zip(c, coefficients):
+                row[...] = value
             c[np.abs(c) <= fock._prune_tol] = 0.0  # as a FockState drops them
             amplitudes = (a[:, :, None] * c).sum(axis=1)  # A c without a BLAS call
-            total += weight * (amplitudes.real**2 + amplitudes.imag**2).sum(axis=0)
-        return _checked_probability(gain * total)
+            squares = amplitudes.real**2 + amplitudes.imag**2
+            total += weight * squares[:-1].sum(axis=0)
+            overlaps += weight * squares[-1]
+        probabilities = _checked_probability(gain * total)
+        return (probabilities, _checked_probability(overlaps)) if overlap else probabilities
 
     return form
 
 
-def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., np.ndarray]:
     """A scenario's measured curve on an array of angles, for checked `params`;
-    the classical intensity has no state, so its curve is its closed form."""
+    the classical intensity has no state, so its curve is its closed form.  A quantum
+    curve called with `overlap=True` also returns the overlap with the gamma = 0 state."""
     spec = models.SCENARIOS[scenario]
     if scenario in models.QUANTUM_SCENARIOS:
         outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
         return _quadratic_form(spec, outcomes, spec.transform, spec.gain(params))
     return lambda gammas: spec.closed_form(gammas, params)
-
-
-def overlap_curve(scenario: ScenarioId) -> Callable[[np.ndarray], np.ndarray]:
-    """Overlap probability with the gamma = 0 state on an array of angles:
-    the same form with the reference state as the one outcome and no transform."""
-    reference = models.scenario_reference(scenario)
-    return _quadratic_form(models.SCENARIOS[scenario], [reference], None)

@@ -16,6 +16,7 @@ from fockproj import (
 )
 from fockproj.analysis import (
     MAX_STEPS,
+    _NODES,
     ExtremumKind,
     Verdict,
     _stationary_points,
@@ -309,18 +310,38 @@ def test_close_classical_turns_lie_on_the_polarizer_zeros():
     "scenario,params,turns",
     [(ScenarioId.CLASSICAL_POLARIZATION, CLOSE_TURNS, 3), (ScenarioId.TWO_PHOTON_POLARIZATION, {}, 1)],
 )
-def test_a_sweep_calls_its_curve_at_most_three_times(monkeypatch, scenario, params, turns, steps):
-    # the grid, the 16 Fourier nodes, and the value at every stationary point
-    calls = []
-    compile_curve = projectors.scenario_curve
+def test_a_sweep_evaluates_its_scenario_at_most_twice(monkeypatch, scenario, params, turns, steps):
+    # the grid with the 16 Fourier nodes appended, then every stationary point; classical
+    # light has no coefficient map, its closed form is its curve and its closed-form column
+    spec = models.SCENARIOS[scenario]
+    field = "coefficients" if scenario in models.QUANTUM_SCENARIOS else "closed_form"
+    model, calls, references = getattr(spec, field), [], []
 
-    def counted(*args):
-        curve = compile_curve(*args)
-        return lambda gammas: calls.append(len(gammas)) or curve(gammas)
+    def counted(gammas, *args):
+        calls.append(np.shape(gammas))
+        return model(gammas, *args)
 
-    monkeypatch.setattr(projectors, "scenario_curve", counted)
+    monkeypatch.setitem(models.SCENARIOS, scenario, spec._replace(**{field: counted}))
+    monkeypatch.setattr(models, "scenario_reference", lambda *args: references.append(args))
     assert len(sweep(scenario, steps, **params).extrema) == turns
-    assert len(calls) <= 3
+    arrays = [shape for shape in calls if shape]  # the overlap row reads the map once at gamma = 0
+    assert len(calls) - len(arrays) <= 1
+    assert len(arrays) <= 2
+    assert arrays[0] == (steps + 16,)
+    assert references == []
+
+
+@pytest.mark.parametrize("steps", [3, 101, 1001])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_the_fused_evaluation_is_the_curve_on_the_grid(scenario, steps):
+    # appending the nodes and the overlap row must not move a bit of either column
+    angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"fused:{scenario.value}"), scenario)
+    result = sweep(scenario, steps, angles, detectors, **extra)
+    curve = projectors.scenario_curve(scenario, result.params)
+    assert result.probabilities == tuple(curve(np.array(result.gammas)).tolist())
+    if scenario in models.QUANTUM_SCENARIOS:
+        for gamma, overlap in zip(result.gammas, result.indistinguishability):
+            assert abs(overlap - models.indistinguishability(scenario, gamma)) <= 1e-15
 
 
 @pytest.mark.parametrize("steps", [3, 101, 1001])
@@ -345,7 +366,7 @@ def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value():
     assert min(abs(minimum.gamma - z) for z in zeros) < 1e-12
     ((lo, hi, _),) = _brackets(result)
     curve = projectors.scenario_curve(result.scenario, result.params)
-    x = _stationary_points(curve)
+    x = np.array(_stationary_points(curve(_NODES)))
     values = curve(x)[(lo < x) & (x < hi)]
     assert len(values) == 3  # both zeros and the shallow peak between them
     assert minimum.value == values.min()

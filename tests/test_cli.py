@@ -205,6 +205,29 @@ def test_missing_output_directory_is_named_as_given(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_output_is_usage_error(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--scenario", "hom2", "--output", ""])
+    assert exc.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--output" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["work"] and list(work.iterdir()) == []
+
+
+def test_a_failed_replace_is_named_as_given(tmp_path, monkeypatch):
+    # an empty path resolves to the working directory, which no file can replace
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(OSError) as exc:
+        cli._write("", "table\n")
+    assert exc.value.filename == "" and exc.value.filename2 is None
+    assert [p.name for p in tmp_path.iterdir()] == ["work"] and list(work.iterdir()) == []
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     code, _, err = _run_capture(
         ["--scenario", "hom2", "--steps", "11", "--output", str(tmp_path)], capsys
