@@ -43,20 +43,22 @@ def main(argv=None) -> None:
         parser.exit(1, f"{parser.prog}: error: --steps must lie in [3, {analysis.MAX_STEPS}]\n")
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    print(f"{'configuration':<28} {'verdict':<14} extrema")
-    for stem, scenario, angles, detectors in CONFIGS:
-        result = analysis.sweep(scenario, args.steps, angles, detectors)
-        (outdir / f"{stem}.csv").write_text(cli.render_csv(result), encoding="utf-8")
-        if result.extrema:
-            marks = ", ".join(
-                f"{e.kind.value.lower()} {e.value:.6f} at gamma={e.gamma:.6f}"
-                for e in result.extrema
-            )
-        else:
-            marks = "-"
-        print(f"{stem:<28} {result.verdict.value:<14} {marks}")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        print(f"{'configuration':<28} {'verdict':<14} extrema")
+        for stem, scenario, angles, detectors in CONFIGS:
+            result = analysis.sweep(scenario, args.steps, angles, detectors)
+            (outdir / f"{stem}.csv").write_text(cli.render_csv(result), encoding="utf-8")
+            if result.extrema:
+                marks = ", ".join(
+                    f"{e.kind.value.lower()} {e.value:.6f} at gamma={e.gamma:.6f}"
+                    for e in result.extrema
+                )
+            else:
+                marks = "-"
+            print(f"{stem:<28} {result.verdict.value:<14} {marks}")
+    except OSError as exc:  # the error names the directory or file it could not make
+        parser.exit(2, f"{parser.prog}: cannot write output: {exc}\n")
     print(f"\nwrote {len(CONFIGS)} files to {outdir}/")
 
 

@@ -103,7 +103,7 @@ def probability_function(
     """Engine-evaluated probability of a scenario as a function of gamma."""
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
     curve = projectors.scenario_curve(scenario, params)
-    return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0])
+    return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0][0])
 
 
 def _steps(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +179,7 @@ def _extrema(curve, nodes, gammas, index: np.ndarray, signs: np.ndarray) -> tupl
     if not turns.size:
         return ()
     x = _stationary_points(nodes)
-    values = curve(np.array(x)).tolist()
+    values = curve(np.array(x))[0].tolist()
     found = []
     for t in turns.tolist():
         rising = float(signs[t])
@@ -203,7 +203,7 @@ def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Ex
     """
     index, signs = _steps(np.array(result.probabilities), tol)
     curve = projectors.scenario_curve(result.scenario, result.params)
-    return _extrema(curve, curve(_NODES), result.gammas, index, signs)
+    return _extrema(curve, curve(_NODES)[0], result.gammas, index, signs)
 
 
 def sweep(
@@ -224,13 +224,9 @@ def sweep(
     grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
     gammas = tuple(grid.tolist())
     curve = projectors.scenario_curve(scenario, params)
-    at = np.concatenate((grid, _NODES))
-    if scenario in models.QUANTUM_SCENARIOS:
-        values, overlap = curve(at, overlap=True)
-        closed = models.SCENARIOS[scenario].closed_form(grid, params)
-    else:  # classical light has no state: its curve is its closed form, with no overlap
-        values, overlap = curve(at), None
-        closed = values[:steps]
+    values, overlap = curve(np.concatenate((grid, _NODES)))
+    spec = models.SCENARIOS[scenario]  # classical light: its curve is its closed form, no overlap
+    closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     index, signs = _steps(values[:steps], MONOTONICITY_TOL)
     return SweepResult(
         scenario=scenario,

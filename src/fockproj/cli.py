@@ -143,8 +143,9 @@ def render_json(result: analysis.SweepResult) -> str:
 def _write(path: str, text: str) -> None:
     """Replace the file at `path` atomically: write a temp file beside it, then
     `os.replace` it over `path`; on failure the temp file is removed.  A device
-    or pipe that `path` names is written in place, as it cannot be replaced."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    or pipe that `path` names is written in place, as it cannot be replaced, and
+    so is a path that ends in a separator, which the OS refuses as a directory."""
+    if path.endswith(os.sep) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return

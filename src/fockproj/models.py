@@ -94,32 +94,24 @@ def two_photon_xi() -> FockState:
     return FockState(2, {(2, 0): math.sqrt(2.0) * r, (1, 1): r})
 
 
-def cascade_split() -> transforms.ModeUnitary:
-    """Non-polarizing 50:50 split of (H, V) into modes (arm1-H, arm1-V, arm2-H, arm2-V)."""
-    return transforms.beamsplitter_5050(0, 2, 4) @ transforms.beamsplitter_5050(1, 3, 4)
-
-
-def cascade_coincidence() -> FockState:
-    """One diagonal photon in arm 1 and one horizontal photon in arm 2."""
-    return FockState(4, {(1, 0, 1, 0): _R2, (0, 1, 1, 0): _R2})
+#: non-polarizing 50:50 split of (H, V) into modes (arm1-H, arm1-V, arm2-H, arm2-V)
+CASCADE_SPLIT = transforms.beamsplitter_5050(0, 2, 4) @ transforms.beamsplitter_5050(1, 3, 4)
+#: one diagonal photon in arm 1 and one horizontal photon in arm 2
+CASCADE_COINCIDENCE = FockState(4, {(1, 0, 1, 0): _R2, (0, 1, 1, 0): _R2})
+# <c|L(S)(psi x |0,0>)> = <L(S) c|psi x |0,0>> as the split is real and
+# symmetric: pull the coincidence back and keep its arm-2-empty part
+_CASCADE_OUTCOME = FockState(2, {
+    o[:2]: a for o, a in transforms.lift(CASCADE_SPLIT, CASCADE_COINCIDENCE).items()
+    if o[2:] == (0, 0)
+})
+# one balanced beam splitter acting alike on the early (0, 1) and late (2, 3) pairs
+_DELAY = transforms.beamsplitter_5050(0, 1, 4) @ transforms.beamsplitter_5050(2, 3, 4)
 
 
 def _loss_outcomes(p: dict) -> list[FockState]:
     # the unobserved ancilla of a one-photon state holds 0 or 1 photons
     xi = single_photon_ket(p["beta"], p["theta"])
     return [tensor(xi, basis_ket((k,))) for k in (0, 1)]
-
-
-def _cascade_outcomes(p: dict) -> list[FockState]:
-    # <c|L(S)(psi x |0,0>)> = <L(S) c|psi x |0,0>> as the split is real and
-    # symmetric: pull the coincidence back and keep its arm-2-empty part
-    back = transforms.lift(cascade_split(), cascade_coincidence())
-    return [FockState(2, {o[:2]: a for o, a in back.items() if o[2:] == (0, 0)})]
-
-
-def _delay_transform() -> transforms.ModeUnitary:
-    # one balanced beam splitter acting alike on the early (0, 1) and late (2, 3) pairs
-    return transforms.beamsplitter_5050(0, 1, 4) @ transforms.beamsplitter_5050(2, 3, 4)
 
 
 def _pair_coincidence_closed(g, p):
@@ -191,10 +183,11 @@ class ScenarioSpec(NamedTuple):
     """One scenario: input state, transform, measurement, closed form, parameters.
 
     `coefficients` maps gamma (a float or an array) to one coefficient
-    vector over `basis` per mixture member, weighted by `weights`;
-    `transform` builds U (None: the identity, so nothing is lifted).  The
-    outcome kets are the `events` as basis kets, or else `outcomes(params)`,
-    and `gain(params)` scales the whole form (eta^2 for two detectors).
+    vector over `basis` per mixture member, weighted by `weights`; the
+    basis kets fix the mode count.  `transform` is the matrix U (None: the
+    identity, so nothing is lifted).  The outcome kets are the `events` as
+    basis kets, or else `outcomes(params)`, and `gain(params)` scales the
+    whole form (eta^2 for two detectors).
     `closed_form(g, params)` is the independent analytic curve, on a float
     or an array of angles; it computes only the trigonometry it reads.
     Classical light has no basis: its closed form is its only model, and
@@ -203,11 +196,10 @@ class ScenarioSpec(NamedTuple):
 
     params: tuple
     closed_form: Callable
-    modes: int = 0
     basis: tuple = ()
     coefficients: Optional[Callable] = None
     weights: tuple = (1.0,)
-    transform: Optional[Callable[[], transforms.ModeUnitary]] = None
+    transform: Optional[transforms.ModeUnitary] = None
     events: tuple = ()
     outcomes: Optional[Callable[[dict], list]] = None
     gain: Callable[[dict], float] = lambda p: 1.0
@@ -218,47 +210,47 @@ _POLARIZATION_BASIS = ((2, 0), (1, 1), (0, 2))
 
 SCENARIOS = {
     ScenarioId.HOM2: ScenarioSpec(
-        (), lambda g, p: (s := np.sin(g)) * s / 2.0, 4, ((1, 1, 0, 0), (1, 0, 0, 1)),
+        (), lambda g, p: (s := np.sin(g)) * s / 2.0, ((1, 1, 0, 0), (1, 0, 0, 1)),
         lambda g: [(np.cos(g), np.sin(g))],
         # coincidence window: one click per path
-        transform=_delay_transform, events=((1, 0, 0, 1), (0, 1, 1, 0)),
+        transform=_DELAY, events=((1, 0, 0, 1), (0, 1, 1, 0)),
     ),
     ScenarioId.HOM4_COINCIDENCE: ScenarioSpec(
-        (), _pair_coincidence_closed, 4, _PAIR_BASIS, _pair_coefficients,
+        (), _pair_coincidence_closed, _PAIR_BASIS, _pair_coefficients,
         # two-per-path coincidence window
-        transform=_delay_transform,
+        transform=_DELAY,
         events=((2, 2, 0, 0), (2, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 2), (1, 1, 1, 1), (0, 2, 2, 0)),
     ),
     ScenarioId.HOM4_BUNCHING: ScenarioSpec(
-        (), _pair_bunching_closed, 4, _PAIR_BASIS, _pair_coefficients,
+        (), _pair_bunching_closed, _PAIR_BASIS, _pair_coefficients,
         # all four photons exiting the first path
-        transform=_delay_transform, events=((4, 0, 0, 0), (3, 0, 1, 0), (2, 0, 2, 0)),
+        transform=_DELAY, events=((4, 0, 0, 0), (3, 0, 1, 0), (2, 0, 2, 0)),
     ),
     ScenarioId.SINGLE_DELIBERATE: ScenarioSpec(
         (BETA, THETA), _deliberate_closed,
-        2, ((1, 0), (0, 1)), lambda g: [(np.cos(g / 2 + math.pi / 4), np.sin(g / 2 + math.pi / 4))],
+        ((1, 0), (0, 1)), lambda g: [(np.cos(g / 2 + math.pi / 4), np.sin(g / 2 + math.pi / 4))],
         outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
     ),
     ScenarioId.SINGLE_LOSS: ScenarioSpec(
         (BETA, THETA), _loss_closed,
-        3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda g: [(_R2 * np.cos(g), _R2, _R2 * np.sin(g))],
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda g: [(_R2 * np.cos(g), _R2, _R2 * np.sin(g))],
         outcomes=_loss_outcomes,
     ),
     ScenarioId.SINGLE_PHASE_NOISE: ScenarioSpec(
         (BETA, THETA),
         lambda g, p: (1.0 + math.cos(p["theta"]) * math.sin(2.0 * p["beta"]) * np.cos(g)) / 2.0,
-        2, ((1, 0), (0, 1)), lambda g: [_phase_member(g), _phase_member(-g)], (0.5, 0.5),
+        ((1, 0), (0, 1)), lambda g: [_phase_member(g), _phase_member(-g)], (0.5, 0.5),
         outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
     ),
     ScenarioId.TWO_PHOTON_POLARIZATION: ScenarioSpec(
-        (), _polarization_closed, 2, _POLARIZATION_BASIS, _polarization_coefficients,
+        (), _polarization_closed, _POLARIZATION_BASIS, _polarization_coefficients,
         outcomes=lambda p: [two_photon_xi()],
     ),
     ScenarioId.HOFMANN_CASCADE: ScenarioSpec(
         (ETA,),
         lambda g, p: 3.0 * p["eta"] * p["eta"] * _polarization_closed(g, p) / 8.0,
-        2, _POLARIZATION_BASIS, _polarization_coefficients,
-        outcomes=_cascade_outcomes, gain=lambda p: p["eta"] ** 2,
+        _POLARIZATION_BASIS, _polarization_coefficients,
+        outcomes=lambda p: [_CASCADE_OUTCOME], gain=lambda p: p["eta"] ** 2,
     ),
     ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec(
         (THETA1, THETA2, AMPLITUDE),
@@ -296,7 +288,7 @@ def scenario_state(scenario: ScenarioId, gamma: float):
     if spec.coefficients is None:
         raise UnsupportedScenarioError(f"{scenario.value} has no quantum input state")
     vectors = spec.coefficients(check_gamma(gamma))
-    members = [FockState(spec.modes, zip(spec.basis, c)) for c in vectors]
+    members = [FockState(len(spec.basis[0]), zip(spec.basis, c)) for c in vectors]
     return members[0] if len(members) == 1 else StateEnsemble(zip(spec.weights, members))
 
 
@@ -379,7 +371,7 @@ def scenario_unitary(scenario: ScenarioId) -> transforms.ModeUnitary:
     spec = SCENARIOS[scenario]
     if spec.coefficients is None:
         raise UnsupportedScenarioError(f"{scenario.value} has no interference transform")
-    return transforms.identity(spec.modes) if spec.transform is None else spec.transform()
+    return transforms.identity(len(spec.basis[0])) if spec.transform is None else spec.transform
 
 
 def indistinguishability(scenario: ScenarioId, gamma: float) -> float:

@@ -102,7 +102,7 @@ def scenario_events(scenario: ScenarioId) -> EventSumProjector:
         raise models.UnsupportedScenarioError(
             f"{scenario.value} is not measured through an event sum"
         )
-    return EventSumProjector(spec.events, (True,) * spec.modes)
+    return EventSumProjector(spec.events, (True,) * len(spec.basis[0]))
 
 
 def pure_projection(
@@ -111,11 +111,7 @@ def pure_projection(
     """|<xi|psi>|^2 for pure states, weight-averaged over ensembles."""
     if abs(projector.norm_squared() - 1.0) > PROJECTOR_NORM_TOL:
         raise ValueError("projector state must be normalized")
-    if isinstance(state, StateEnsemble):
-        raw = sum(w * abs(inner_product(projector, s)) ** 2 for w, s in state.members)
-    else:
-        raw = abs(inner_product(projector, state)) ** 2
-    return _checked_probability(raw)
+    return _checked_probability(fock.fidelity(projector, state))
 
 
 def single_photon_projector(angles: ProjectorAngles) -> FockState:
@@ -195,26 +191,30 @@ def hofmann_cascade(state: FockState, detectors: DetectorModel) -> float:
     if state.photon_numbers() != {2}:
         raise ValueError("cascade input must hold exactly two photons")
     extended = tensor(state, basis_ket((0, 0)))
-    after_bs = transforms.lift(models.cascade_split(), extended)
-    raw = detectors.eta**2 * pure_projection(after_bs, models.cascade_coincidence())
+    after_bs = transforms.lift(models.CASCADE_SPLIT, extended)
+    raw = detectors.eta**2 * pure_projection(after_bs, models.CASCADE_COINCIDENCE)
     return _checked_probability(raw)
 
 
-def _quadratic_form(
-    spec: models.ScenarioSpec, outcomes: Sequence[FockState], transform, gain: float = 1.0
-) -> Callable[..., np.ndarray]:
-    """Range-guarded gain * sum_w w sum_o |<o|U psi_w(g)>|^2 on an array of angles, with
-    `overlap` also sum_w w |<psi(0)|psi_w(g)>|^2.  A[o, k] = <o|U b_k> is built once, here
-    (U from `transform`; None: identity), with a last row conj(c_k(0)), pruned as in a FockState."""
+def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
+    """A scenario's measured curve on an array of angles, for checked `params`, returning
+    (values, overlap).  A quantum curve is the range-guarded quadratic form
+    gain * sum_w w sum_o |<o|U psi_w(g)>|^2 with its overlap sum_w w |<psi(0)|psi_w(g)>|^2;
+    A[o, k] = <o|U b_k> is built once, here, with a last row conj(c_k(0)), pruned as in a
+    FockState.  Classical light has no state: its values are its closed form, its overlap None."""
+    spec = models.SCENARIOS[scenario]
+    if spec.coefficients is None:
+        return lambda gammas: (spec.closed_form(gammas, params), None)
     kets = [basis_ket(b) for b in spec.basis]
-    if transform is not None:
-        u = transform()
-        kets = [transforms.lift(u, k) for k in kets]
+    if spec.transform is not None:
+        kets = [transforms.lift(spec.transform, k) for k in kets]
+    outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
     reference = [complex(c) for c in spec.coefficients(0.0)[0]]  # the members coincide here
     overlap_row = [0j if abs(c) <= fock._prune_tol else c.conjugate() for c in reference]
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
+    gain = spec.gain(params)
 
-    def form(gammas: np.ndarray, overlap: bool = False):
+    def curve(gammas: np.ndarray):
         total, overlaps = np.zeros(np.shape(gammas)), np.zeros(np.shape(gammas))
         for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
             c = np.empty((len(coefficients),) + np.shape(gammas), np.result_type(*coefficients))
@@ -225,18 +225,6 @@ def _quadratic_form(
             squares = amplitudes.real**2 + amplitudes.imag**2
             total += weight * squares[:-1].sum(axis=0)
             overlaps += weight * squares[-1]
-        probabilities = _checked_probability(gain * total)
-        return (probabilities, _checked_probability(overlaps)) if overlap else probabilities
+        return _checked_probability(gain * total), _checked_probability(overlaps)
 
-    return form
-
-
-def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., np.ndarray]:
-    """A scenario's measured curve on an array of angles, for checked `params`;
-    the classical intensity has no state, so its curve is its closed form.  A quantum
-    curve called with `overlap=True` also returns the overlap with the gamma = 0 state."""
-    spec = models.SCENARIOS[scenario]
-    if scenario in models.QUANTUM_SCENARIOS:
-        outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
-        return _quadratic_form(spec, outcomes, spec.transform, spec.gain(params))
-    return lambda gammas: spec.closed_form(gammas, params)
+    return curve

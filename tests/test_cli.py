@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -228,12 +229,15 @@ def test_a_failed_replace_is_named_as_given(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["work"] and list(work.iterdir()) == []
 
 
-def test_unwritable_output_is_io_error(tmp_path, capsys):
+# a directory, and a file name ending in a separator, which only a directory can have
+@pytest.mark.parametrize("suffix", ["", os.sep + "out.csv" + os.sep])
+def test_unwritable_output_is_io_error(tmp_path, capsys, suffix):
     code, _, err = _run_capture(
-        ["--scenario", "hom2", "--steps", "11", "--output", str(tmp_path)], capsys
+        ["--scenario", "hom2", "--steps", "11", "--output", str(tmp_path) + suffix], capsys
     )
     assert code == cli.EXIT_IO
-    assert "cannot write" in err
+    assert len(err.splitlines()) == 1 and "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))

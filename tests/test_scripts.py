@@ -25,3 +25,18 @@ def test_run_all_scenarios_writes_every_configuration(tmp_path, capsys):
     main(["--steps", "3", "--outdir", str(tmp_path)])
     assert len(list(tmp_path.glob("*.csv"))) == 10
     assert "wrote 10 files" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_run_all_scenarios_names_an_unusable_outdir(nested, tmp_path, capsys):
+    # an existing file as the directory, or as a parent of it: exit 2 with one line
+    main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    outdir = blocker / "sweeps" if nested else blocker
+    with pytest.raises(SystemExit) as exc:
+        main(["--steps", "3", "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "cannot write" in err and str(blocker) in err
+    assert blocker.read_text() == "keep\n"
