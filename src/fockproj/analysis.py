@@ -120,14 +120,11 @@ def _steps(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verdict(signs: np.ndarray) -> Verdict:
-    kinds = set(signs.tolist())
-    if not kinds:
+    if not signs.size:
         return Verdict.CONSTANT
-    if kinds == {1.0}:
-        return Verdict.NON_DECREASING
-    if kinds == {-1.0}:
-        return Verdict.NON_INCREASING
-    return Verdict.NON_MONOTONIC
+    if signs.min() != signs.max():
+        return Verdict.NON_MONOTONIC
+    return Verdict.NON_DECREASING if signs[0] > 0 else Verdict.NON_INCREASING
 
 
 def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL) -> Verdict:
@@ -168,8 +165,12 @@ def _stationary_points(samples: np.ndarray) -> list[float]:
     for cluster in (angles[i:j] for i, j in zip(starts, starts[1:] + [len(angles)])):
         g = sum(cluster) / len(cluster)
         for _ in range(2 if len(cluster) == 1 else 0):  # Newton on p'(g) ~ sum k Im(c_k e^{ikg})
-            terms = [(m, cm * cmath.exp(1j * (g * m))) for m, cm in enumerate(c.tolist(), 1)]
-            g -= sum(t.imag * m for m, t in terms) / sum(t.real * m * m for m, t in terms)
+            slope = curvature = 0.0
+            for m, cm in enumerate(c.tolist(), 1):
+                t = cm * cmath.exp(1j * (g * m))
+                slope += t.imag * m
+                curvature += t.real * m * m
+            g -= slope / curvature
         points.append(g)
     return points
 

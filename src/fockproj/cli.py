@@ -8,9 +8,11 @@ beyond the numerical slack, or a value that is not finite).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +49,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def _parse_optional(self, arg_string: str):  # a float spelling, even '-1e-3', is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +102,13 @@ def parse_args(argv) -> RunConfig:
 
 _CELL = "%.12g"  # every reported number: 12 significant digits
 _COLUMNS = ("gammas", "probabilities", "closed_forms", "indistinguishability")
+_MEMOIZED = ("gammas", "indistinguishability")
+
+
+@functools.lru_cache(maxsize=10)
+def _cells(column: bytes) -> tuple[str, ...]:
+    """Cells of a column that grid and scenario alone set, keyed by bytes: -0.0 is not 0.0."""
+    return tuple(map(_CELL.__mod__, memoryview(column).cast("d")))
 
 
 def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
@@ -102,8 +118,9 @@ def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
     probabilities = np.array(result.probabilities)
     if result.scenario in models.QUANTUM_SCENARIOS:
         probabilities = probabilities.clip(0.0, 1.0)
-    columns = dict(zip(_COLUMNS, (result.gammas, probabilities.tolist(), result.closed_forms,
-                                  result.indistinguishability)))
+    gammas, overlap = (None if c is None else _cells(array("d", c).tobytes())
+                       for c in (result.gammas, result.indistinguishability))
+    columns = dict(zip(_COLUMNS, (gammas, probabilities.tolist(), result.closed_forms, overlap)))
     footer = dict(result.params, scenario=result.scenario.value, verdict=result.verdict.value,
                   steps=len(result.gammas),
                   max_closed_form_deviation=result.max_closed_form_deviation())
@@ -114,9 +131,10 @@ def render_csv(result: analysis.SweepResult) -> str:
     """Fixed-layout CSV: data rows, an empty cell where a column is undefined,
     then '# key,value' footer lines with the keys sorted."""
     columns, footer = _table(result)
-    row = ",".join("" if column is None else _CELL for column in columns.values())
+    gammas, probabilities, closed_forms, overlap = columns.values()
+    rows = zip(gammas, probabilities, closed_forms, overlap or [""] * len(gammas))
     lines = ["gamma,probability,closed_form,indistinguishability"]
-    lines += [row % values for values in zip(*(c for c in columns.values() if c is not None))]
+    lines += ["%s,%.12g,%.12g,%s" % row for row in rows]  # gamma and overlap are _cells
     footer["extrema"] = ";".join(
         f"{e.kind.value}:{_CELL % e.gamma}:{_CELL % e.value}" for e in result.extrema
     ) or "none"
@@ -128,8 +146,8 @@ def render_csv(result: analysis.SweepResult) -> str:
 def render_json(result: analysis.SweepResult) -> str:
     """JSON mirror of the sweep result; every number is the float of its CSV cell."""
     columns, footer = _table(result)
-    payload = {name: None if column is None else [float(_CELL % x) for x in column]
-               for name, column in columns.items()}
+    payload = {name: None if column is None else list(map(float, column)) if name in _MEMOIZED
+               else [float(_CELL % x) for x in column] for name, column in columns.items()}
     payload.update((key, float(_CELL % value) if isinstance(value, float) else value)
                    for key, value in footer.items())
     payload["params"] = {key: payload.pop(key) for key in result.params}

@@ -20,6 +20,7 @@ from fockproj.analysis import (
     ExtremumKind,
     Verdict,
     _stationary_points,
+    _verdict,
     classify_monotonicity,
     closed_form,
     find_extrema,
@@ -159,6 +160,20 @@ def test_classify_monotonicity_verdicts():
     assert classify_monotonicity([0.2, 0.1, 0.0]) is Verdict.NON_INCREASING
     assert classify_monotonicity([0.1, 0.1, 0.1]) is Verdict.CONSTANT
     assert classify_monotonicity([0.0, 0.2, 0.1]) is Verdict.NON_MONOTONIC
+
+
+@pytest.mark.parametrize(
+    "signs,verdict",
+    [
+        ([], Verdict.CONSTANT),
+        ([1.0] * 5, Verdict.NON_DECREASING),
+        ([-1.0] * 5, Verdict.NON_INCREASING),
+        ([1.0, 1.0, -1.0, 1.0], Verdict.NON_MONOTONIC),
+        ([-1.0, 1.0], Verdict.NON_MONOTONIC),
+    ],
+)
+def test_verdict_of_step_signs(signs, verdict):
+    assert _verdict(np.array(signs, dtype=float)) is verdict
 
 
 def test_classify_monotonicity_tolerance_absorbs_noise():

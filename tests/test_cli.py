@@ -314,6 +314,105 @@ def test_bad_or_unused_flags_are_rejected_by_cli_and_library(scenario, flags, ca
         cli.run(config)
 
 
+@pytest.mark.parametrize(
+    "scenario,flag,value",
+    [
+        ("classical-polarization", "theta1", "-1e-3"),
+        ("classical-polarization", "theta1", "-.5e1"),
+        ("classical-polarization", "theta2", "-1E+2"),
+        ("classical-polarization", "theta1", "-0.5"),
+        ("single-deliberate", "beta", "1e-3"),
+    ],
+)
+def test_every_float_spelling_is_a_flag_value(scenario, flag, value):
+    # argparse alone takes '-1e-3' or '-.5e1' for an unknown flag ("expected one argument")
+    extra = ["--beta", "0.3", "--theta", "1.0"] if scenario.startswith("single-") else []
+    spaced = cli.parse_args(["--scenario", scenario, *extra, f"--{flag}", value])
+    assert getattr(spaced, flag) == float(value)
+    assert spaced == cli.parse_args(["--scenario", scenario, *extra, f"--{flag}={value}"])
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("theta1", "-inf", "--theta1 must lie in (-inf, inf), got -inf"),
+        ("theta2", "-Infinity", "--theta2 must lie in (-inf, inf), got -inf"),
+        ("theta1", "-nan", "--theta1 must lie in (-inf, inf), got nan"),
+        ("amplitude", "-1e-3", "--amplitude must lie in [0, 2e77], got -0.001"),
+    ],
+)
+def test_a_spaced_negative_value_gets_the_range_message(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--scenario", "classical-polarization", f"--{flag}", value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"fockproj: error: {message}\n"
+
+
+def test_a_stray_number_is_still_an_unrecognized_argument(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--scenario", "classical-polarization", "-1e-3"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "fockproj: error: unrecognized arguments: -1e-3\n"
+
+
+# -- the memo of the gamma and indistinguishability cells
+
+
+def _sweeps(steps):
+    # the off-axis projector for the scenarios that need one
+    return [analysis.sweep(s, steps, ProjectorAngles(math.pi / 8, math.pi)
+                           if s.value.startswith("single-") else None) for s in ScenarioId]
+
+
+@pytest.mark.parametrize("steps", [3, 101, 1001])
+def test_warm_and_cold_memo_render_the_same_bytes(steps):
+    results = _sweeps(steps)
+    warm = [(cli.render_csv(r), cli.render_json(r)) for r in results]
+    for result, texts in zip(results, warm):
+        cli._cells.cache_clear()
+        assert (cli.render_csv(result), cli.render_json(result)) == texts
+
+
+_TIE = 0.1234567890125  # just below the decimal tie: "%.12g" gives ...012, one ulp up ...013
+
+
+@pytest.mark.parametrize(
+    "column,row,before,after",
+    [
+        ("gammas", 50, _TIE, math.nextafter(_TIE, 1.0)),
+        ("indistinguishability", 50, _TIE, math.nextafter(_TIE, 1.0)),
+        ("gammas", 0, 0.0, -0.0),  # equal as floats, so a key that compares floats is stale
+    ],
+)
+def test_a_column_one_ulp_off_renders_its_own_cells(column, row, before, after):
+    result = analysis.sweep(ScenarioId.HOM2, 101)
+    cells = []
+    for value in (before, after):
+        values = list(getattr(result, column))
+        values[row] = value
+        changed = dataclasses.replace(result, **{column: tuple(values)})
+        line = cli.render_csv(changed).splitlines()[1 + row]
+        cells.append(line.split(",")[cli._COLUMNS.index(column)])
+        assert json.loads(cli.render_json(changed))[column][row] == float(cli._CELL % value)
+    assert cells == [cli._CELL % before, cli._CELL % after]
+    assert cells[0] != cells[1]
+
+
+def test_the_memo_is_bounded_and_skips_the_classical_column():
+    for steps in (3, 101, 1001):
+        for result in _sweeps(steps):
+            cli.render_csv(result)
+    assert cli._cells.cache_info().currsize <= 10
+    # classical light has no indistinguishability column: its gamma cells are all it keeps
+    classical = analysis.sweep(ScenarioId.CLASSICAL_POLARIZATION, 11)
+    cli._cells.cache_clear()
+    cli.render_csv(classical)
+    cli.render_json(classical)
+    assert cli._cells.cache_info().currsize == 1
+
+
 def test_non_finite_json_value_exits_with_code_3(monkeypatch, capsys):
     sweep = cli.analysis.sweep
 
@@ -334,29 +433,38 @@ _VALUE_TEXT = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "-inf", "1e100", "2e77", "abc", ""]),
 )
+
+
+def _flag(name: str, text: str):
+    """`--name=text` as one token, or `--name text` as two, which argparse reads apart."""
+    return st.sampled_from([(f"--{name}={text}",), (f"--{name}", text)])
+
+
 _JUNK = st.one_of(
-    st.tuples(st.sampled_from([p.name for p in models.PARAMETERS]), _VALUE_TEXT).map(
-        lambda kv: f"--{kv[0]}={kv[1]}"
+    st.tuples(st.sampled_from([p.name for p in models.PARAMETERS]), _VALUE_TEXT).flatmap(
+        lambda kv: _flag(*kv)
     ),
-    st.sampled_from(["--scenario=bogus", "--steps=x", "--format=xml", "--bogus", "stray"]),
+    st.sampled_from(["--scenario=bogus", "--steps=x", "--format=xml", "--bogus", "stray"]).map(
+        lambda a: (a,)
+    ),
 )
 
 
 @st.composite
 def _argvs(draw):
     scenario = draw(st.sampled_from(list(ScenarioId)))
-    argv = [f"--scenario={scenario.value}"]
+    argv = [(f"--scenario={scenario.value}",)]
     for p in models.SCENARIOS[scenario].params:
         if p.default is None or draw(st.booleans()):
             value = draw(st.floats(max(p.lo, -10.0), min(p.hi, 10.0)))
-            argv.append(f"--{p.name}={value!r}")
+            argv.append(draw(_flag(p.name, repr(value))))
     steps = draw(st.one_of(st.none(), st.integers(-1, 50), st.just(analysis.MAX_STEPS + 1)))
     if steps is not None:
-        argv.append(f"--steps={steps}")
-    argv.append(draw(st.sampled_from(["", "--format=csv", "--format=json"])))
-    argv.append(draw(st.sampled_from(["", "--output=-", "--output=FILE", "--output=DIR"])))
+        argv.append(draw(_flag("steps", str(steps))))
+    argv.append(draw(st.sampled_from([(), ("--format=csv",), ("--format=json",)])))
+    argv.append(draw(st.sampled_from([(), ("--output=-",), ("--output=FILE",), ("--output=DIR",)])))
     argv += draw(st.lists(_JUNK, max_size=2))
-    return draw(st.permutations([a for a in argv if a]))
+    return [a for tokens in draw(st.permutations(argv)) for a in tokens]
 
 
 def _finite(text: str) -> float:
