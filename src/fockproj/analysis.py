@@ -65,7 +65,13 @@ class SweepResult:
     params: dict
 
     def max_closed_form_deviation(self) -> float:
-        return float(np.abs(np.subtract(self.probabilities, self.closed_forms)).max())
+        return closed_form_deviation(*(np.fromiter(c, float, len(c))
+                                       for c in (self.probabilities, self.closed_forms)))
+
+
+def closed_form_deviation(probabilities: np.ndarray, closed_forms: np.ndarray) -> float:
+    """Largest |probability - closed form| over a sweep's rows, probabilities unclamped."""
+    return float(np.abs(probabilities - closed_forms).max())
 
 
 def _params(scenario, angles, detectors, theta1, theta2, amplitude) -> dict:

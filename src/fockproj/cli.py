@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,7 +101,6 @@ def parse_args(argv) -> RunConfig:
 
 _CELL = "%.12g"  # every reported number: 12 significant digits
 _COLUMNS = ("gammas", "probabilities", "closed_forms", "indistinguishability")
-_MEMOIZED = ("gammas", "indistinguishability")
 
 
 @functools.lru_cache(maxsize=10)
@@ -111,19 +109,37 @@ def _cells(column: bytes) -> tuple[str, ...]:
     return tuple(map(_CELL.__mod__, memoryview(column).cast("d")))
 
 
+def _same_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows where `_CELL % a` and `_CELL % b` provably print the same: scaled by
+    10**(11 - floor(log10|a|)), both lie within 0.49 of one integer r in [1e11, 1e12),
+    so both round to the 12 digits of r, as their error is about 4e-4.  A wrong decade
+    fails the range tests; zeros, subnormals, inf and nan fail a comparison."""
+    with np.errstate(all="ignore"):
+        scale = 10.0 ** (11 - np.floor(np.log10(np.abs(a))))
+        ya, yb = np.abs(a) * scale, np.abs(b) * scale
+        r = np.rint(ya)
+        return ((np.signbit(a) == np.signbit(b)) & (ya >= 1e11) & (yb >= 1e11) & (r < 1e12)
+                & (np.abs(ya - r) < 0.49) & (np.abs(yb - r) < 0.49))
+
+
 def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
-    """The reported columns, named as in JSON, and the footer values, with the
+    """The reported cells, named as in JSON, and the footer values, with the
     scenario parameters among them.  Probabilities are clamped to [0, 1] except
-    in the classical scenario, whose column is an intensity."""
-    probabilities = np.array(result.probabilities)
-    if result.scenario in models.QUANTUM_SCENARIOS:
-        probabilities = probabilities.clip(0.0, 1.0)
-    gammas, overlap = (None if c is None else _cells(array("d", c).tobytes())
-                       for c in (result.gammas, result.indistinguishability))
-    columns = dict(zip(_COLUMNS, (gammas, probabilities.tolist(), result.closed_forms, overlap)))
+    in the classical scenario, whose column is an intensity.  A closed-form cell
+    reuses its probability cell wherever `_same_cells` proves the two equal."""
+    gammas, raw, closed_forms, overlap = (
+        None if c is None else np.fromiter(c, float, len(c)) for c in
+        (result.gammas, result.probabilities, result.closed_forms, result.indistinguishability))
+    probabilities = raw.clip(0.0, 1.0) if result.scenario in models.QUANTUM_SCENARIOS else raw
+    cells = list(map(_CELL.__mod__, probabilities.tolist()))
+    closed = cells.copy()
+    for i in np.flatnonzero(~_same_cells(probabilities, closed_forms)).tolist():
+        closed[i] = _CELL % result.closed_forms[i]
+    columns = dict(zip(_COLUMNS, (_cells(gammas.tobytes()), cells, closed,
+                                  None if overlap is None else _cells(overlap.tobytes()))))
     footer = dict(result.params, scenario=result.scenario.value, verdict=result.verdict.value,
                   steps=len(result.gammas),
-                  max_closed_form_deviation=result.max_closed_form_deviation())
+                  max_closed_form_deviation=analysis.closed_form_deviation(raw, closed_forms))
     return columns, footer
 
 
@@ -132,9 +148,8 @@ def render_csv(result: analysis.SweepResult) -> str:
     then '# key,value' footer lines with the keys sorted."""
     columns, footer = _table(result)
     gammas, probabilities, closed_forms, overlap = columns.values()
-    rows = zip(gammas, probabilities, closed_forms, overlap or [""] * len(gammas))
     lines = ["gamma,probability,closed_form,indistinguishability"]
-    lines += ["%s,%.12g,%.12g,%s" % row for row in rows]  # gamma and overlap are _cells
+    lines += map(",".join, zip(gammas, probabilities, closed_forms, overlap or [""] * len(gammas)))
     footer["extrema"] = ";".join(
         f"{e.kind.value}:{_CELL % e.gamma}:{_CELL % e.value}" for e in result.extrema
     ) or "none"
@@ -146,8 +161,7 @@ def render_csv(result: analysis.SweepResult) -> str:
 def render_json(result: analysis.SweepResult) -> str:
     """JSON mirror of the sweep result; every number is the float of its CSV cell."""
     columns, footer = _table(result)
-    payload = {name: None if column is None else list(map(float, column)) if name in _MEMOIZED
-               else [float(_CELL % x) for x in column] for name, column in columns.items()}
+    payload = {name: None if c is None else list(map(float, c)) for name, c in columns.items()}
     payload.update((key, float(_CELL % value) if isinstance(value, float) else value)
                    for key, value in footer.items())
     payload["params"] = {key: payload.pop(key) for key in result.params}

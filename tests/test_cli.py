@@ -4,14 +4,17 @@ import io
 import json
 import math
 import os
+import random
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockproj import ProjectorAngles, analysis, cli, models
+from fockproj import DetectorModel, ProjectorAngles, analysis, cli, models
 from fockproj.models import ScenarioId
 
 
@@ -411,6 +414,119 @@ def test_the_memo_is_bounded_and_skips_the_classical_column():
     cli.render_csv(classical)
     cli.render_json(classical)
     assert cli._cells.cache_info().currsize == 1
+
+
+# -- every cell against its sweep value, and the closed-form cell shortcut
+
+
+def _seeded_sweep(scenario, steps, seed):
+    """A sweep at parameters drawn from the scenario's ranges, cut to [-10, 10]."""
+    rng = random.Random(f"{scenario.value}:{seed}")
+    p = {q.name: rng.uniform(max(q.lo, -10.0), min(q.hi, 10.0))
+         for q in models.SCENARIOS[scenario].params}
+    angles = ProjectorAngles(p.pop("beta"), p.pop("theta")) if "beta" in p else None
+    detectors = DetectorModel(p.pop("eta")) if "eta" in p else None
+    return analysis.sweep(scenario, steps, angles, detectors, **p)
+
+
+@pytest.mark.parametrize("steps", [3, 11, 101, 1001])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_every_cell_is_the_cell_of_its_sweep_value(scenario, steps):
+    # formats every value on its own, so a cell the renderer wrongly reuses shows here
+    for seed in range(2):
+        result = _seeded_sweep(scenario, steps, seed)
+        probabilities = result.probabilities
+        if scenario in models.QUANTUM_SCENARIOS:
+            probabilities = np.clip(probabilities, 0.0, 1.0).tolist()
+        overlap = result.indistinguishability or (None,) * steps
+        expected = [["" if v is None else "%.12g" % v for v in row] for row in
+                    zip(result.gammas, probabilities, result.closed_forms, overlap)]
+        lines = cli.render_csv(result).splitlines()[1:]
+        assert [line.split(",") for line in lines if not line.startswith("# ")] == expected
+        payload = json.loads(cli.render_json(result))
+        for j, name in enumerate(cli._COLUMNS):
+            cells = [row[j] for row in expected]
+            assert payload[name] == (None if cells[0] == "" else [float(c) for c in cells])
+
+
+def _same(a, b):
+    """`cli._same_cells` on two columns, checked sound: a row it calls the same
+    prints the same.  It must not warn, whatever the values."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        same = cli._same_cells(a, b)
+    assert caught == []
+    for x, y in zip(a[same].tolist(), b[same].tolist()):
+        assert "%.12g" % x == "%.12g" % y, (x, y)
+    return same
+
+
+def _ulps(x, n):
+    """The floats within n ulps of x, x among them."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _all_pairs(values):
+    return [a for a in values for _ in values], [b for _ in values for b in values]
+
+
+@pytest.mark.parametrize("k", range(-12, 12))
+def test_a_power_of_ten_and_a_value_just_below_are_told_apart(k):
+    x = 10.0 ** k
+    a, b = math.nextafter(x, 0.0), x * (1 - 6e-13)
+    assert "%.12g" % a != "%.12g" % b  # 1e-12 against 9.99999999999e-13 for k = -12
+    assert not _same([a, b], [b, a]).any()
+    _same(*_all_pairs(_ulps(x, 4) + _ulps(b, 4)))
+
+
+@pytest.mark.parametrize("k", [-300, -20, -5, -1, 0, 1, 7, 300])
+def test_decimal_ties_and_decade_carries(k):
+    for digits in ("1234567890125", "9999999999995", "1000000000005", "9999999999985"):
+        tie = float(f"{digits[0]}.{digits[1:]}e{k}")
+        _same(*_all_pairs(_ulps(tie, 3)))
+        _same(*_all_pairs(_ulps(-tie, 3)))
+
+
+def test_zeros_subnormals_non_finite_and_opposite_signs_are_formatted_apart():
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, math.inf, -math.inf, math.nan]
+    a, b = _all_pairs(specials + [0.25, -0.25, 1.0])
+    same = _same(a, b)
+    shared = {(x, y) for x, y, s in zip(a, b, same) if s}
+    assert shared == {(0.25, 0.25), (-0.25, -0.25), (1.0, 1.0)}
+
+
+def test_equal_values_away_from_a_tie_share_their_cell():
+    values = [5 / 24, 0.5, 1.0, 1 / 3, 1e-7, 123.456, 2e77, 1e-290]
+    assert _same(values, values).all()
+
+
+@st.composite
+def _nearby_pairs(draw):
+    """A float and a partner: any float, a few ulps away, a small relative step
+    away, or a neighbour of a 13-digit decimal tie."""
+    kind = draw(st.sampled_from(["any", "ulps", "relative", "tie"]))
+    if kind == "tie":
+        digits = draw(st.integers(10**11, 10**12 - 1)) * 10 + 5
+        a = float(f"{digits}e{draw(st.integers(-320, 295))}")
+        return a, draw(st.sampled_from(_ulps(a, 2)))
+    a = draw(st.floats())
+    if kind == "any":
+        return a, draw(st.floats())
+    if kind == "ulps":
+        return a, draw(st.sampled_from(_ulps(a, 3)))
+    return a, a * (1 + draw(st.floats(-1e-11, 1e-11)))
+
+
+@given(st.lists(_nearby_pairs(), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_cells_called_the_same_print_the_same(pairs):
+    a, b = zip(*pairs)
+    _same(a, b)
 
 
 def test_non_finite_json_value_exits_with_code_3(monkeypatch, capsys):
