@@ -5,10 +5,10 @@ Writes one CSV per configuration into an output directory and prints a
 verdict summary table.  The parameter choices are the interesting ones:
 the off-axis projector (beta = pi/8, theta = pi) that turns the
 single-photon curves non-monotonic, its proper counterpart, and the
-classical polarizer pair at 0 and pi/4.
+classical polarizer pair at 0 and pi/4.  Exit codes: 1 usage error, 2 an
+output directory or file that cannot be written.
 """
 
-import argparse
 import math
 from pathlib import Path
 
@@ -35,12 +35,12 @@ CONFIGS = [
 
 
 def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)  # every usage error: exit 1 with one line
     parser.add_argument("--outdir", default="sweeps", help="directory for the CSV files")
     parser.add_argument("--steps", type=int, default=1001, help="grid points per sweep")
     args = parser.parse_args(argv)
     if not 3 <= args.steps <= analysis.MAX_STEPS:
-        parser.exit(1, f"{parser.prog}: error: --steps must lie in [3, {analysis.MAX_STEPS}]\n")
+        parser.error(f"--steps must lie in [3, {analysis.MAX_STEPS}]")
 
     outdir = Path(args.outdir)
     try:

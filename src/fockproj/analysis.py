@@ -45,33 +45,29 @@ class Extremum:
     kind: ExtremumKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Sampled probability curve with its verdict and exact extrema.
 
-    `probabilities` holds raw engine values (range-guarded upstream, not
-    clamped); `closed_forms` the analytic reference curve;
-    `indistinguishability` is None for the classical scenario.  `params`
-    records the scenario parameters needed to re-evaluate the curve.
+    Each column is a read-only float64 array of length `steps`: `probabilities`
+    holds raw engine values (range-guarded upstream, not clamped), `closed_forms`
+    the analytic reference curve; `indistinguishability` is None for classical
+    light.  `params` records the scenario parameters needed to re-evaluate the
+    curve.  Results compare by identity: arrays have no truth value under ==.
     """
 
     scenario: ScenarioId
-    gammas: tuple[float, ...]
-    probabilities: tuple[float, ...]
-    closed_forms: tuple[float, ...]
-    indistinguishability: Optional[tuple[float, ...]]
+    gammas: np.ndarray
+    probabilities: np.ndarray
+    closed_forms: np.ndarray
+    indistinguishability: Optional[np.ndarray]
     verdict: Verdict
     extrema: tuple[Extremum, ...]
     params: dict
 
     def max_closed_form_deviation(self) -> float:
-        return closed_form_deviation(*(np.fromiter(c, float, len(c))
-                                       for c in (self.probabilities, self.closed_forms)))
-
-
-def closed_form_deviation(probabilities: np.ndarray, closed_forms: np.ndarray) -> float:
-    """Largest |probability - closed form| over a sweep's rows, probabilities unclamped."""
-    return float(np.abs(probabilities - closed_forms).max())
+        """Largest |probability - closed form| over the rows, probabilities unclamped."""
+        return float(np.abs(np.subtract(self.probabilities, self.closed_forms)).max())
 
 
 def _params(scenario, angles, detectors, theta1, theta2, amplitude) -> dict:
@@ -208,7 +204,7 @@ def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Ex
     extreme value is reported.  Monotone and constant curves yield an empty
     tuple; endpoints are never reported.
     """
-    index, signs = _steps(np.array(result.probabilities), tol)
+    index, signs = _steps(np.asarray(result.probabilities, float), tol)
     curve = projectors.scenario_curve(result.scenario, result.params)
     return _extrema(curve, curve(_NODES)[0], result.gammas, index, signs)
 
@@ -229,19 +225,20 @@ def sweep(
         raise ValueError(f"steps must be an integer in [3, {MAX_STEPS}], got {steps!r}")
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
     grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
-    gammas = tuple(grid.tolist())
     curve = projectors.scenario_curve(scenario, params)
     values, overlap = curve(np.concatenate((grid, _NODES)))
     spec = models.SCENARIOS[scenario]  # classical light: its curve is its closed form, no overlap
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
+    for column in (c for c in (grid, values, closed, overlap) if c is not None):
+        column.flags.writeable = False  # and so every later slice of it
     index, signs = _steps(values[:steps], MONOTONICITY_TOL)
     return SweepResult(
         scenario=scenario,
-        gammas=gammas,
-        probabilities=tuple(values[:steps].tolist()),
-        closed_forms=tuple(closed.tolist()),
-        indistinguishability=None if overlap is None else tuple(overlap[:steps].tolist()),
+        gammas=grid,
+        probabilities=values[:steps],
+        closed_forms=closed,
+        indistinguishability=None if overlap is None else overlap[:steps],
         verdict=_verdict(signs),
-        extrema=_extrema(curve, values[steps:], gammas, index, signs),
+        extrema=_extrema(curve, values[steps:], grid, index, signs),
         params=params,
     )

@@ -128,18 +128,17 @@ def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
     in the classical scenario, whose column is an intensity.  A closed-form cell
     reuses its probability cell wherever `_same_cells` proves the two equal."""
     gammas, raw, closed_forms, overlap = (
-        None if c is None else np.fromiter(c, float, len(c)) for c in
+        None if c is None else np.asarray(c, float) for c in
         (result.gammas, result.probabilities, result.closed_forms, result.indistinguishability))
     probabilities = raw.clip(0.0, 1.0) if result.scenario in models.QUANTUM_SCENARIOS else raw
     cells = list(map(_CELL.__mod__, probabilities.tolist()))
     closed = cells.copy()
     for i in np.flatnonzero(~_same_cells(probabilities, closed_forms)).tolist():
-        closed[i] = _CELL % result.closed_forms[i]
+        closed[i] = _CELL % closed_forms[i]
     columns = dict(zip(_COLUMNS, (_cells(gammas.tobytes()), cells, closed,
                                   None if overlap is None else _cells(overlap.tobytes()))))
     footer = dict(result.params, scenario=result.scenario.value, verdict=result.verdict.value,
-                  steps=len(result.gammas),
-                  max_closed_form_deviation=analysis.closed_form_deviation(raw, closed_forms))
+                  steps=len(gammas), max_closed_form_deviation=result.max_closed_form_deviation())
     return columns, footer
 
 

@@ -354,13 +354,34 @@ def test_the_fused_evaluation_is_the_curve_on_the_grid(scenario, steps):
     angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"fused:{scenario.value}"), scenario)
     result = sweep(scenario, steps, angles, detectors, **extra)
     values, overlap = projectors.scenario_curve(scenario, result.params)(np.array(result.gammas))
-    assert result.probabilities == tuple(values.tolist())
+    assert result.probabilities.tobytes() == values.tobytes()
     if scenario in models.QUANTUM_SCENARIOS:
-        assert result.indistinguishability == tuple(overlap.tolist())
+        assert result.indistinguishability.tobytes() == overlap.tobytes()
         for gamma, column in zip(result.gammas, result.indistinguishability):
             assert abs(column - models.indistinguishability(scenario, gamma)) <= 1e-15
     else:
         assert overlap is None
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_every_column_of_a_sweep_is_read_only(scenario):
+    # the result is frozen and so is every column it holds, written whole, in a slice or in place
+    angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"frozen:{scenario.value}"), scenario)
+    result = sweep(scenario, 11, angles, detectors, **extra)
+    columns = [result.gammas, result.probabilities, result.closed_forms, result.indistinguishability]
+    assert (columns[-1] is None) == (scenario not in models.QUANTUM_SCENARIOS)
+    columns = [c for c in columns if c is not None]
+    before = [c.tobytes() for c in columns]
+    writes = [lambda c: c.__setitem__(0, 0.5), lambda c: c[1:].fill(0.5),
+              lambda c: np.add(c, 1.0, out=c)]
+    for column in columns:
+        assert column.dtype == np.float64 and column.shape == (11,)
+        for write in writes:
+            with pytest.raises(ValueError):
+                write(column)
+    assert [c.tobytes() for c in columns] == before
+    # arrays have no truth value under ==, so results compare by identity
+    assert result == result and result != sweep(scenario, 11, angles, detectors, **extra)
 
 
 @pytest.mark.parametrize("steps", [3, 101, 1001])

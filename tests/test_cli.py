@@ -438,7 +438,9 @@ def test_every_cell_is_the_cell_of_its_sweep_value(scenario, steps):
         probabilities = result.probabilities
         if scenario in models.QUANTUM_SCENARIOS:
             probabilities = np.clip(probabilities, 0.0, 1.0).tolist()
-        overlap = result.indistinguishability or (None,) * steps
+        overlap = result.indistinguishability
+        if overlap is None:
+            overlap = (None,) * steps
         expected = [["" if v is None else "%.12g" % v for v in row] for row in
                     zip(result.gammas, probabilities, result.closed_forms, overlap)]
         lines = cli.render_csv(result).splitlines()[1:]
@@ -447,6 +449,21 @@ def test_every_cell_is_the_cell_of_its_sweep_value(scenario, steps):
         for j, name in enumerate(cli._COLUMNS):
             cells = [row[j] for row in expected]
             assert payload[name] == (None if cells[0] == "" else [float(c) for c in cells])
+
+
+@pytest.mark.parametrize("steps", [3, 11, 101, 1001])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_tuple_columns_render_the_bytes_of_the_array_columns(scenario, steps):
+    # a result built by hand may hold tuples of floats: the renderers read any sequence
+    for seed in range(2):
+        result = _seeded_sweep(scenario, steps, seed)
+        columns = {name: getattr(result, name) for name in cli._COLUMNS}
+        tuples = dataclasses.replace(result, **{
+            name: None if c is None else tuple(c.tolist()) for name, c in columns.items()})
+        assert all(c is None or type(getattr(tuples, name)) is tuple for name, c in columns.items())
+        assert cli.render_csv(tuples) == cli.render_csv(result)
+        assert cli.render_json(tuples) == cli.render_json(result)
+        assert tuples.max_closed_form_deviation() == result.max_closed_form_deviation()
 
 
 def _same(a, b):

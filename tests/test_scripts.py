@@ -8,7 +8,7 @@ from fockproj import analysis
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("steps", ["-1", "0", "2", str(analysis.MAX_STEPS + 1)])
+@pytest.mark.parametrize("steps", ["-1", "0", "2", str(analysis.MAX_STEPS + 1), "abc"])
 def test_run_all_scenarios_refuses_steps_outside_the_grid_range(steps, tmp_path, capsys):
     main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
     outdir = tmp_path / "sweeps"
@@ -17,6 +17,18 @@ def test_run_all_scenarios_refuses_steps_outside_the_grid_range(steps, tmp_path,
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "--steps" in err
+    assert not outdir.exists()
+
+
+def test_run_all_scenarios_refuses_an_unknown_flag(tmp_path, capsys):
+    # a usage error, not the exit 2 kept for output the script cannot write
+    main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
+    outdir = tmp_path / "sweeps"
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "--steps", "3", "--outdir", str(outdir)])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--bogus" in err
     assert not outdir.exists()
 
 
