@@ -49,9 +49,10 @@ class Extremum:
 class SweepResult:
     """Sampled probability curve with its verdict and exact extrema.
 
-    Each column is a read-only float64 array of length `steps`: `probabilities`
-    holds raw engine values (range-guarded upstream, not clamped), `closed_forms`
-    the analytic reference curve; `indistinguishability` is None for classical
+    Each column is a read-only float64 array of length `steps`, a view whose
+    `writeable` flag cannot be set back: `probabilities` holds raw engine
+    values (range-guarded upstream, not clamped), `closed_forms` the analytic
+    reference curve; `indistinguishability` is None for classical
     light.  `params` records the scenario parameters needed to re-evaluate the
     curve.  Results compare by identity: arrays have no truth value under ==.
     """
@@ -230,13 +231,13 @@ def sweep(
     spec = models.SCENARIOS[scenario]  # classical light: its curve is its closed form, no overlap
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):
-        column.flags.writeable = False  # and so every later slice of it
+        column.flags.writeable = False  # and so every view of it, which cannot be made writeable again
     index, signs = _steps(values[:steps], MONOTONICITY_TOL)
     return SweepResult(
         scenario=scenario,
-        gammas=grid,
+        gammas=grid[:],
         probabilities=values[:steps],
-        closed_forms=closed,
+        closed_forms=closed[:],
         indistinguishability=None if overlap is None else overlap[:steps],
         verdict=_verdict(signs),
         extrema=_extrema(curve, values[steps:], grid, index, signs),

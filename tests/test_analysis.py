@@ -379,9 +379,9 @@ def test_every_column_of_a_sweep_is_read_only(scenario):
         for write in writes:
             with pytest.raises(ValueError):
                 write(column)
+        with pytest.raises(ValueError):  # a view of a read-only array: the flag stays off
+            column.flags.writeable = True
     assert [c.tobytes() for c in columns] == before
-    # arrays have no truth value under ==, so results compare by identity
-    assert result == result and result != sweep(scenario, 11, angles, detectors, **extra)
 
 
 @pytest.mark.parametrize("steps", [3, 101, 1001])
