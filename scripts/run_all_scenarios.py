@@ -5,8 +5,9 @@ Writes one CSV per configuration into an output directory and prints a
 verdict summary table.  The parameter choices are the interesting ones:
 the off-axis projector (beta = pi/8, theta = pi) that turns the
 single-photon curves non-monotonic, its proper counterpart, and the
-classical polarizer pair at 0 and pi/4.  Exit codes: 1 usage error, 2 an
-output directory or file that cannot be written.
+classical polarizer pair at 0 and pi/4.  Exit codes: 1 usage error (also
+a repeated flag or an empty --outdir), 2 an output directory or file that
+cannot be written.
 """
 
 import math
@@ -41,6 +42,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if not 3 <= args.steps <= analysis.MAX_STEPS:
         parser.error(f"--steps must lie in [3, {analysis.MAX_STEPS}]")
+    if args.outdir == "":
+        parser.error("--outdir must name a directory")
 
     outdir = Path(args.outdir)
     try:

@@ -1,8 +1,9 @@
 """Command-line front end: sweep one scenario and emit a CSV or JSON table.
 
-Exit codes: 0 success, 1 usage error (a bad, non-finite or unused flag),
-2 I/O error, 3 internal invariant violation (a raw probability left [0, 1]
-beyond the numerical slack, or a value that is not finite).
+Each parameter flag is read from `models.PARAMETERS`.  Exit codes: 0 success,
+1 usage error (a bad, non-finite, unused or repeated flag), 2 I/O error,
+3 internal invariant violation (a raw probability left [0, 1] beyond the
+numerical slack, or a value that is not finite).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,22 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INVARIANT = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated CLI parameters for one sweep."""
-
-    scenario: ScenarioId
-    steps: int = analysis.DEFAULT_STEPS
-    beta: Optional[float] = None
-    theta: Optional[float] = None
-    eta: Optional[float] = None
-    theta1: Optional[float] = None
-    theta2: Optional[float] = None
-    amplitude: Optional[float] = None
-    output_format: str = "csv"
-    output_path: Optional[str] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         except ValueError:
             return super()._parse_optional(arg_string)
         return None
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._given = set()  # the flags read in this parse
+        return super().parse_known_args(args, namespace)
+
+    def _get_values(self, action, arg_strings):  # once per occurrence of a flag, in any spelling
+        if action.dest in self._given:  # argparse would keep the last value without a word
+            raise argparse.ArgumentError(action, "given more than once")
+        self._given.add(action.dest)
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,32 +64,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--steps", type=int, default=analysis.DEFAULT_STEPS, help="grid points on [0, pi/2]"
     )
-    parser.add_argument("--beta", type=float, help="projector angle beta in radians, [0, pi/2]")
-    parser.add_argument("--theta", type=float, help="projector phase theta in radians, [0, 2*pi)")
-    parser.add_argument("--eta", type=float, help="detector efficiency in [0, 1] (cascade)")
-    parser.add_argument("--theta1", type=float, help="first polarizer angle in radians (classical)")
-    parser.add_argument("--theta2", type=float, help="second polarizer angle in radians (classical)")
-    parser.add_argument("--amplitude", type=float, help="classical field amplitude E0 (default 2)")
+    for p in models.PARAMETERS:
+        users = ", ".join(s.value for s, spec in models.SCENARIOS.items() if p in spec.params)
+        use = (f"required by {users}" if p.default is None
+               else f"default {_CELL % p.default}; used by {users}")
+        parser.add_argument(f"--{p.name}", type=float, help=f"{p.doc}, {p.bounds}; {use}")
     parser.add_argument("--format", choices=["csv", "json"], default="csv", help="output format")
     parser.add_argument("--output", default=None, help="output file path; '-' or absent for stdout")
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and validate argv; exits with status 1 on any usage problem."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate argv into the namespace `run` takes, its `scenario` a `ScenarioId`;
+    exits with status 1 on any usage problem."""
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    if not 3 <= ns.steps <= analysis.MAX_STEPS:
+    args = parser.parse_args(argv)
+    if not 3 <= args.steps <= analysis.MAX_STEPS:
         parser.error(f"--steps must lie in [3, {analysis.MAX_STEPS}]")
-    if ns.output == "":
+    if args.output == "":
         parser.error("--output must name a file, or '-' for stdout")
-    scenario = ScenarioId(ns.scenario)
-    given = {p.name: getattr(ns, p.name) for p in models.PARAMETERS}
+    args.scenario = ScenarioId(args.scenario)
+    given = {p.name: getattr(args, p.name) for p in models.PARAMETERS}
     try:
-        models.checked_params(scenario, given)
+        models.checked_params(args.scenario, given)
     except ValueError as exc:
         parser.error(f"--{exc}")
-    return RunConfig(scenario, ns.steps, **given, output_format=ns.format, output_path=ns.output)
+    return args
 
 
 _CELL = "%.12g"  # every reported number: 12 significant digits
@@ -198,31 +191,29 @@ def _write(path: str, text: str) -> None:
         raise
 
 
-def run(config: RunConfig) -> int:
-    """Execute one sweep and write the table; returns the exit status.  Parameters
-    are checked first, so a lone projector angle names its missing partner."""
-    given = {p.name: getattr(config, p.name) for p in models.PARAMETERS}
-    models.checked_params(config.scenario, given)
-    angles = ProjectorAngles(config.beta, config.theta) if config.beta is not None else None
-    detectors = DetectorModel(config.eta) if config.eta is not None else None
+def run(args: argparse.Namespace) -> int:
+    """Sweep the namespace of `parse_args` or `build_parser` and write the table; returns the
+    exit status.  Parameters are checked first, so a lone angle names its missing partner."""
+    scenario = ScenarioId(args.scenario)
+    given = {p.name: getattr(args, p.name) for p in models.PARAMETERS}
+    params = models.checked_params(scenario, given)
+    angles = ProjectorAngles(params.pop("beta"), params.pop("theta")) if "beta" in params else None
+    detectors = DetectorModel(params.pop("eta")) if "eta" in params else None
     try:
-        result = analysis.sweep(
-            config.scenario, config.steps, angles, detectors,
-            theta1=config.theta1, theta2=config.theta2, amplitude=config.amplitude,
-        )
+        result = analysis.sweep(scenario, args.steps, angles, detectors, **params)
     except ProbabilityRangeError as exc:
         print(f"fockproj: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     try:
-        text = render_csv(result) if config.output_format == "csv" else render_json(result)
+        text = render_csv(result) if args.format == "csv" else render_json(result)
     except ValueError as exc:  # JSON refuses a non-finite number
         print(f"fockproj: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     try:
-        if config.output_path in (None, "-"):
+        if args.output in (None, "-"):
             sys.stdout.write(text)
         else:
-            _write(config.output_path, text)
+            _write(args.output, text)
     except OSError as exc:
         print(f"fockproj: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -230,8 +221,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv if argv is not None else sys.argv[1:])
-    return run(config)
+    return run(parse_args(argv if argv is not None else sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -55,13 +55,14 @@ def check_gamma(gamma: float) -> float:
 
 
 class Param(NamedTuple):
-    """A scenario parameter: name (also its CLI flag), range [lo, hi] spelled
-    as `bounds` for messages, and default (None: required)."""
+    """A scenario parameter: name (also its CLI flag), range [lo, hi] spelled as
+    `bounds` for messages, `doc` for the flag's help, and default (None: required)."""
 
     name: str
     lo: float
     hi: float
     bounds: str
+    doc: str
     default: Optional[float] = None
 
     def check(self, value: float) -> float:
@@ -72,13 +73,17 @@ class Param(NamedTuple):
         return v
 
 
-BETA = Param("beta", 0.0, math.pi / 2, "[0, pi/2]")
+BETA = Param("beta", 0.0, math.pi / 2, "[0, pi/2]", "projector angle in radians")
 # hi is the largest float below 2*pi, which makes the range half-open
-THETA = Param("theta", 0.0, math.nextafter(2.0 * math.pi, 0.0), "[0, 2*pi)")
-ETA = Param("eta", 0.0, 1.0, "[0, 1]", default=1.0)
-THETA1 = Param("theta1", -math.inf, math.inf, "(-inf, inf)", default=0.0)
-THETA2 = Param("theta2", -math.inf, math.inf, "(-inf, inf)", default=math.pi / 4)
-AMPLITUDE = Param("amplitude", 0.0, 2e77, "[0, 2e77]", default=2.0)  # (E0/2)^4 stays finite
+THETA = Param("theta", 0.0, math.nextafter(2.0 * math.pi, 0.0), "[0, 2*pi)",
+              "projector phase in radians")
+ETA = Param("eta", 0.0, 1.0, "[0, 1]", "detector efficiency", 1.0)
+THETA1 = Param("theta1", -math.inf, math.inf, "(-inf, inf)", "first polarizer angle in radians",
+               0.0)
+THETA2 = Param("theta2", -math.inf, math.inf, "(-inf, inf)", "second polarizer angle in radians",
+               math.pi / 4)
+AMPLITUDE = Param("amplitude", 0.0, 2e77, "[0, 2e77]", "classical field amplitude E0",
+                  2.0)  # (E0/2)^4 stays finite
 PARAMETERS = (BETA, THETA, ETA, THETA1, THETA2, AMPLITUDE)
 
 

@@ -28,7 +28,7 @@ def test_parse_minimal_config():
     config = cli.parse_args(["--scenario", "hom4-coincidence", "--steps", "101", "--format", "csv"])
     assert config.scenario is ScenarioId.HOM4_COINCIDENCE
     assert config.steps == 101
-    assert config.output_format == "csv"
+    assert config.format == "csv"
 
 
 def test_parse_angle_values():
@@ -91,8 +91,9 @@ def test_too_many_steps_is_usage_error(capsys):
     ],
 )
 def test_lone_projector_angle_is_named_by_run(scenario, angle, message):
+    argv = ["--scenario", scenario.value] + [f"--{name}={value}" for name, value in angle.items()]
     with pytest.raises(ValueError, match=f"^{message}"):
-        cli.run(cli.RunConfig(scenario, **angle))
+        cli.run(cli.build_parser().parse_args(argv))
 
 
 def test_hom2_csv_output(capsys):
@@ -312,7 +313,7 @@ def test_bad_or_unused_flags_are_rejected_by_cli_and_library(scenario, flags, ca
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("fockproj: error: --")
     # the same values handed to the library are refused too
-    config = cli.RunConfig(ScenarioId(scenario), **{k: float(v) for k, v in flags.items()})
+    config = cli.build_parser().parse_args(argv)
     with pytest.raises(ValueError):
         cli.run(config)
 
@@ -329,7 +330,7 @@ def test_bad_or_unused_flags_are_rejected_by_cli_and_library(scenario, flags, ca
 )
 def test_every_float_spelling_is_a_flag_value(scenario, flag, value):
     # argparse alone takes '-1e-3' or '-.5e1' for an unknown flag ("expected one argument")
-    extra = ["--beta", "0.3", "--theta", "1.0"] if scenario.startswith("single-") else []
+    extra = ["--theta", "1.0"] if scenario.startswith("single-") else []  # beta is the flag tested
     spaced = cli.parse_args(["--scenario", scenario, *extra, f"--{flag}", value])
     assert getattr(spaced, flag) == float(value)
     assert spaced == cli.parse_args(["--scenario", scenario, *extra, f"--{flag}={value}"])
@@ -358,6 +359,62 @@ def test_a_stray_number_is_still_an_unrecognized_argument(capsys):
         cli.main(["--scenario", "classical-polarization", "-1e-3"])
     assert exc.value.code == cli.EXIT_USAGE
     assert capsys.readouterr().err == "fockproj: error: unrecognized arguments: -1e-3\n"
+
+
+# -- the flags derived from the parameter table
+
+_FIXED = {"--scenario": "hom2", "--steps": "5", "--format": "csv", "--output": "-"}
+_VALUE_FLAGS = {**_FIXED, **{f"--{p.name}": "0.5" for p in models.PARAMETERS}}
+
+
+def test_the_value_flags_are_the_fixed_four_and_one_per_parameter():
+    parser = cli.build_parser()
+    flags = {s for action in parser._actions if action.nargs != 0 for s in action.option_strings}
+    assert flags == set(_VALUE_FLAGS)
+
+
+def test_help_gives_each_parameter_its_doc_range_default_and_scenarios(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no help line is wrapped inside a scenario name
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for p in models.PARAMETERS:
+        help_ = text.split(f"--{p.name} {p.name.upper()} ", 1)[1].split(" --", 1)[0]
+        assert help_.startswith(f"{p.doc}, {p.bounds}; ")
+        assert ("required by" in help_) == (p.default is None)
+        if p.default is not None:
+            assert f"default {p.default:.12g};" in help_
+        users = {s.value for s in ScenarioId if p in models.SCENARIOS[s].params}
+        assert set(help_.split(" by ", 1)[1].split(", ")) == users
+
+
+def _spellings(flag, value):
+    """`flag value`, `flag=value`, and `flag` less its last letter where that names it alone."""
+    spellings = [[flag, value], [f"{flag}={value}"]]
+    if not any(other != flag and other.startswith(flag[:-1]) for other in _VALUE_FLAGS):
+        spellings.append([flag[:-1], value])
+    return spellings
+
+
+@pytest.mark.parametrize(
+    "flag,first",
+    [(flag, first) for flag, v in _VALUE_FLAGS.items() for first in _spellings(flag, v)]
+    + [("--amplitude", ["--amp", "1"]), ("--steps", ["--st=3"])],
+)
+def test_a_repeated_value_flag_is_a_usage_error(flag, first, capsys):
+    # the first value used to be dropped without a word
+    argv = [*first, flag, _VALUE_FLAGS[flag]] + (["--scenario", "hom2"] if flag != "--scenario" else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"fockproj: error: argument {flag}: given more than once\n")
+
+
+def test_a_parser_counts_each_flag_afresh_in_every_parse():
+    parser = cli.build_parser()
+    for steps in ("5", "7"):
+        assert parser.parse_args(["--scenario", "hom2", "--steps", steps]).steps == int(steps)
 
 
 # -- the memo of the gamma and indistinguishability cells

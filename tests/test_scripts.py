@@ -32,6 +32,40 @@ def test_run_all_scenarios_refuses_an_unknown_flag(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_run_all_scenarios_refuses_an_empty_outdir(tmp_path, monkeypatch, capsys):
+    # an empty path used to put the ten tables into the working directory
+    main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--steps", "3", "--outdir", ""])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--outdir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--steps", ["--steps", "3", "--steps", "3", "--outdir", "sweeps"]),
+        ("--steps", ["--steps=3", "--st", "3", "--outdir", "sweeps"]),
+        ("--outdir", ["--steps", "3", "--outdir", "a", "--outdir", "b"]),
+        ("--outdir", ["--steps", "3", "--outdir=a", "--out", "b"]),
+    ],
+)
+def test_run_all_scenarios_refuses_a_repeated_flag(flag, argv, tmp_path, monkeypatch, capsys):
+    # the first value used to be dropped without a word
+    main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.endswith(f": error: argument {flag}: given more than once\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_all_scenarios_writes_every_configuration(tmp_path, capsys):
     main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
     main(["--steps", "3", "--outdir", str(tmp_path)])
