@@ -21,7 +21,6 @@ from .fock import (
     basis_ket,
     fidelity,
     inner_product,
-    prune_threshold,
     tensor,
 )
 from .models import (

@@ -103,16 +103,18 @@ def _cells(column: bytes) -> tuple[str, ...]:
 
 
 def _same_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows where `_CELL % a` and `_CELL % b` provably print the same: scaled by
-    10**(11 - floor(log10|a|)), both lie within 0.49 of one integer r in [1e11, 1e12),
-    so both round to the 12 digits of r, as their error is about 4e-4.  A wrong decade
-    fails the range tests; zeros, subnormals, inf and nan fail a comparison."""
+    """Rows where `_CELL % a` and `_CELL % b` provably print the same: the two are equal
+    with one sign bit, so the same float; or, scaled by 10**(11 - floor(log10|a|)), both
+    lie within 0.49 of one integer r in [1e11, 1e12), so both round to the 12 digits of r,
+    as their error is about 4e-4.  A wrong decade fails the range tests; unequal zeros,
+    subnormals and infinities, and every nan, fail a comparison."""
     with np.errstate(all="ignore"):
         scale = 10.0 ** (11 - np.floor(np.log10(np.abs(a))))
         ya, yb = np.abs(a) * scale, np.abs(b) * scale
         r = np.rint(ya)
-        return ((np.signbit(a) == np.signbit(b)) & (ya >= 1e11) & (yb >= 1e11) & (r < 1e12)
-                & (np.abs(ya - r) < 0.49) & (np.abs(yb - r) < 0.49))
+        return (np.signbit(a) == np.signbit(b)) & (
+            (a == b) | ((ya >= 1e11) & (yb >= 1e11) & (r < 1e12)
+                        & (np.abs(ya - r) < 0.49) & (np.abs(yb - r) < 0.49)))
 
 
 def _table(result: analysis.SweepResult) -> tuple[dict, dict]:

@@ -7,20 +7,18 @@ tuples label an orthonormal basis and inner products reduce to conjugated
 dot products over the sparse maps.
 
 All arithmetic is plain double-precision complex; the total photon number
-is capped (default 8) so every expansion stays exact and finite.
+is capped at the fixed PHOTON_BOUND (8) so every expansion stays exact and
+finite.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-DEFAULT_PHOTON_BOUND = 8
+PHOTON_BOUND = 8
 NORMALIZATION_TOL = 1e-12
-DEFAULT_PRUNE_TOL = 1e-15
-
-_prune_tol = DEFAULT_PRUNE_TOL
+PRUNE_TOL = 1e-15  # amplitudes of at most this magnitude are dropped
 
 
 class InvalidOccupationError(ValueError):
@@ -31,24 +29,7 @@ class DimensionMismatchError(ValueError):
     """Operands disagree on the number of modes."""
 
 
-@contextmanager
-def prune_threshold(value: float) -> Iterator[None]:
-    """Temporarily override the amplitude pruning threshold.
-
-    Testing hook used to confirm that pruning never shifts a reported
-    probability.  It is read when a state is built and each time a curve
-    is evaluated.  Not safe to use concurrently with either in other threads.
-    """
-    global _prune_tol
-    previous = _prune_tol
-    _prune_tol = value
-    try:
-        yield
-    finally:
-        _prune_tol = previous
-
-
-def _checked_occupation(occ: Sequence[int], photon_bound: int) -> tuple[int, ...]:
+def _checked_occupation(occ: Sequence[int]) -> tuple[int, ...]:
     counts = []
     for n in occ:
         k = int(n)
@@ -58,9 +39,9 @@ def _checked_occupation(occ: Sequence[int], photon_bound: int) -> tuple[int, ...
             )
         counts.append(k)
     total = sum(counts)
-    if total > photon_bound:
+    if total > PHOTON_BOUND:
         raise InvalidOccupationError(
-            f"total photon number {total} exceeds the bound {photon_bound}"
+            f"total photon number {total} exceeds the bound {PHOTON_BOUND}"
         )
     return tuple(counts)
 
@@ -69,38 +50,32 @@ class FockState:
     """Pure state as a sparse map from occupation tuples to amplitudes.
 
     Instances are immutable; all operations return new states.  Amplitudes
-    with magnitude at or below the pruning threshold are dropped on
-    construction.
+    with magnitude at or below PRUNE_TOL are dropped on construction.
     """
 
     __slots__ = ("mode_count", "_amps")
 
-    def __init__(
-        self,
-        mode_count: int,
-        amplitudes: Union[Mapping, Iterable],
-        photon_bound: int = DEFAULT_PHOTON_BOUND,
-    ) -> None:
+    def __init__(self, mode_count: int, amplitudes: Union[Mapping, Iterable]) -> None:
         if mode_count < 1:
             raise ValueError("mode_count must be positive")
         entries = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
         accum: dict[tuple[int, ...], complex] = {}
         for occ, amp in entries:
-            key = _checked_occupation(occ, photon_bound)
+            key = _checked_occupation(occ)
             if len(key) != mode_count:
                 raise DimensionMismatchError(
                     f"occupation {key} has {len(key)} modes, state has {mode_count}"
                 )
             accum[key] = accum.get(key, 0j) + complex(amp)
         self.mode_count = mode_count
-        self._amps = {k: v for k, v in accum.items() if abs(v) > _prune_tol}
+        self._amps = {k: v for k, v in accum.items() if abs(v) > PRUNE_TOL}
 
     @classmethod
     def _raw(cls, mode_count: int, amps: dict) -> "FockState":
         # internal fast path: keys are already validated occupation tuples
         state = object.__new__(cls)
         state.mode_count = mode_count
-        state._amps = {k: v for k, v in amps.items() if abs(v) > _prune_tol}
+        state._amps = {k: v for k, v in amps.items() if abs(v) > PRUNE_TOL}
         return state
 
     def items(self) -> list[tuple[tuple[int, ...], complex]]:
@@ -201,11 +176,9 @@ class StateEnsemble:
         return len(self.members)
 
 
-def basis_ket(
-    occupations: Sequence[int], photon_bound: int = DEFAULT_PHOTON_BOUND
-) -> FockState:
+def basis_ket(occupations: Sequence[int]) -> FockState:
     """Normalized basis ket |n_1, ..., n_M> with unit amplitude."""
-    return FockState(len(tuple(occupations)), {tuple(occupations): 1.0}, photon_bound)
+    return FockState(len(tuple(occupations)), {tuple(occupations): 1.0})
 
 
 def inner_product(bra: FockState, ket: FockState) -> complex:
@@ -221,17 +194,15 @@ def inner_product(bra: FockState, ket: FockState) -> complex:
     )
 
 
-def tensor(
-    left: FockState, right: FockState, photon_bound: int = DEFAULT_PHOTON_BOUND
-) -> FockState:
+def tensor(left: FockState, right: FockState) -> FockState:
     """Tensor product; mode counts add and amplitudes multiply pairwise."""
     out: dict[tuple[int, ...], complex] = {}
     for occ_l, amp_l in left._amps.items():
         for occ_r, amp_r in right._amps.items():
             key = occ_l + occ_r
-            if sum(key) > photon_bound:
+            if sum(key) > PHOTON_BOUND:
                 raise InvalidOccupationError(
-                    f"tensor product holds {sum(key)} photons, bound is {photon_bound}"
+                    f"tensor product holds {sum(key)} photons, bound is {PHOTON_BOUND}"
                 )
             out[key] = out.get(key, 0j) + amp_l * amp_r
     return FockState._raw(left.mode_count + right.mode_count, out)

@@ -327,8 +327,11 @@ def single_phase_noise(gamma: float) -> StateEnsemble:
     return scenario_state(ScenarioId.SINGLE_PHASE_NOISE, gamma)
 
 
-def single_phase_noise_gaussian(gamma: float, nodes: int = 17) -> StateEnsemble:
-    """Phase-noise mixture discretized from a wrapped Gaussian distribution.
+_GAUSSIAN_NODES = 17
+
+
+def single_phase_noise_gaussian(gamma: float) -> StateEnsemble:
+    """Phase-noise mixture discretized from a wrapped Gaussian distribution on 17 nodes.
 
     The spread sigma is chosen so the wrapped Gaussian reproduces the
     two-point model's first moment, <cos(phi)> = cos(gamma).  Narrow
@@ -343,12 +346,13 @@ def single_phase_noise_gaussian(gamma: float, nodes: int = 17) -> StateEnsemble:
     c = math.cos(g)
     sigma_sq = math.inf if c <= 0.0 else -2.0 * math.log(c)
     if sigma_sq < 9.0:
-        x, w = np.polynomial.hermite.hermgauss(nodes)
+        x, w = np.polynomial.hermite.hermgauss(_GAUSSIAN_NODES)
         phis = np.sqrt(2.0 * sigma_sq) * x
         weights = w / w.sum()
     else:
-        phis = np.array([-math.pi + (2 * k + 1) * math.pi / nodes for k in range(nodes)])
-        density = np.ones(nodes)
+        phis = np.array([-math.pi + (2 * k + 1) * math.pi / _GAUSSIAN_NODES
+                         for k in range(_GAUSSIAN_NODES)])
+        density = np.ones(_GAUSSIAN_NODES)
         for n in range(1, 5):
             rho = math.exp(-0.5 * n * n * sigma_sq) if math.isfinite(sigma_sq) else 0.0
             density += 2.0 * rho * np.cos(n * phis)

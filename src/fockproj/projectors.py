@@ -200,8 +200,9 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
     """A scenario's measured curve on an array of angles, for checked `params`, returning
     (values, overlap).  A quantum curve is the range-guarded quadratic form
     gain * sum_w w sum_o |<o|U psi_w(g)>|^2 with its overlap sum_w w |<psi(0)|psi_w(g)>|^2;
-    A[o, k] = <o|U b_k> is built once, here, with a last row conj(c_k(0)), pruned as in a
-    FockState.  Classical light has no state: its values are its closed form, its overlap None."""
+    A[o, k] = <o|U b_k> is built once, here, with a last row conj(c_k(0)); every c_k(0) is 0 or
+    far above PRUNE_TOL, so that row needs no pruning.  Classical light has no state: its values
+    are its closed form, its overlap None."""
     spec = models.SCENARIOS[scenario]
     if spec.coefficients is None:
         return lambda gammas: (spec.closed_form(gammas, params), None)
@@ -209,8 +210,7 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
     if spec.transform is not None:
         kets = [transforms.lift(spec.transform, k) for k in kets]
     outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
-    reference = [complex(c) for c in spec.coefficients(0.0)[0]]  # the members coincide here
-    overlap_row = [0j if abs(c) <= fock._prune_tol else c.conjugate() for c in reference]
+    overlap_row = [complex(c).conjugate() for c in spec.coefficients(0.0)[0]]  # members coincide
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
     gain = spec.gain(params)
 
@@ -220,7 +220,7 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
             c = np.empty((len(coefficients),) + np.shape(gammas), np.result_type(*coefficients))
             for row, value in zip(c, coefficients):
                 row[...] = value
-            c[np.abs(c) <= fock._prune_tol] = 0.0  # as a FockState drops them
+            c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
             amplitudes = (a[:, :, None] * c).sum(axis=1)  # A c without a BLAS call
             squares = amplitudes.real**2 + amplitudes.imag**2
             total += weight * squares[:-1].sum(axis=0)

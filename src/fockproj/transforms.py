@@ -32,7 +32,10 @@ class ModeUnitary:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        deviation = np.abs(m.conj().T @ m - np.eye(m.shape[0]))
+        # U^dag U, and the product below, as broadcast sums: the optics constants are built
+        # at import, where a complex matmul would raise every process's peak RSS for BLAS
+        gram = (m.conj()[:, :, None] * m[:, None, :]).sum(axis=0)
+        deviation = np.abs(gram - np.eye(m.shape[0]))
         if deviation.max() >= UNITARITY_TOL:
             raise ValueError(
                 f"matrix is not unitary (max |U^dag U - I| entry = {deviation.max():.3e})"
@@ -47,7 +50,7 @@ class ModeUnitary:
     def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
         if self.dimension != other.dimension:
             raise DimensionMismatchError("cannot compose unitaries of different size")
-        return ModeUnitary(self.matrix @ other.matrix)
+        return ModeUnitary((self.matrix[:, :, None] * other.matrix).sum(axis=1))
 
     def __repr__(self) -> str:
         return f"ModeUnitary(dimension={self.dimension})"
@@ -82,12 +85,10 @@ def beamsplitter_5050(mode_a: int, mode_b: int, total_modes: int) -> ModeUnitary
     return _embedded_block([[r, r], [r, -r]], mode_a, mode_b, total_modes)
 
 
-def polarization_rotation(
-    angle: float, total_modes: int = 2, mode_h: int = 0, mode_v: int = 1
-) -> ModeUnitary:
-    """Real rotation of the (H, V) mode pair by `angle` radians."""
+def polarization_rotation(angle: float) -> ModeUnitary:
+    """Real rotation of the two modes (H, V) by `angle` radians."""
     c, s = math.cos(angle), math.sin(angle)
-    return _embedded_block([[c, -s], [s, c]], mode_h, mode_v, total_modes)
+    return ModeUnitary([[c, -s], [s, c]])
 
 
 def lift(u: ModeUnitary, state: FockState) -> FockState:

@@ -11,7 +11,6 @@ from fockproj import (
     ScenarioId,
     models,
     projectors,
-    prune_threshold,
     transforms,
 )
 from fockproj.analysis import (
@@ -509,7 +508,9 @@ def test_cascade_sweep_carries_eta_param():
     assert result.max_closed_form_deviation() < 1e-10
 
 
-def test_pruning_threshold_does_not_move_probabilities():
+def test_pruning_does_not_move_probabilities():
+    # amplitudes at or below fock.PRUNE_TOL are dropped; the curve must still match
+    # the hand-written closed form, which prunes nothing
     cases = [
         (ScenarioId.HOM2, None),
         (ScenarioId.HOM4_COINCIDENCE, None),
@@ -523,10 +524,5 @@ def test_pruning_threshold_does_not_move_probabilities():
     gammas = [i * math.pi / 2 / 6 for i in range(7)]
     for scenario, angles in cases:
         f = probability_function(scenario, angles)
-        defaults = [f(g) for g in gammas]
-        with prune_threshold(0.0):
-            # built and evaluated inside the block: the threshold is read when the
-            # basis is lifted and again each time the curve is evaluated
-            unpruned_f = probability_function(scenario, angles)
-            unpruned = [unpruned_f(g) for g in gammas]
-        assert all(abs(a - b) < 1e-12 for a, b in zip(defaults, unpruned))
+        for g in gammas:
+            assert abs(f(g) - closed_form(scenario, g, angles)) < 1e-12, (scenario, g)

@@ -560,11 +560,22 @@ def test_decimal_ties_and_decade_carries(k):
 
 
 def test_zeros_subnormals_non_finite_and_opposite_signs_are_formatted_apart():
+    # equal values with one sign bit are one float, so they share a cell; every other
+    # pair here, nan with itself among them, is formatted apart
     specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, math.inf, -math.inf, math.nan]
-    a, b = _all_pairs(specials + [0.25, -0.25, 1.0])
+    values = specials + [0.25, -0.25, 1.0]
+    a, b = _all_pairs(values)
     same = _same(a, b)
     shared = {(x, y) for x, y, s in zip(a, b, same) if s}
-    assert shared == {(0.25, 0.25), (-0.25, -0.25), (1.0, 1.0)}
+    assert shared == {(x, x) for x in values if not math.isnan(x)}
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 0.0, 2e77])
+def test_every_classical_closed_form_cell_reuses_its_intensity_cell(amplitude):
+    # the classical closed form is its engine, so the two columns are bitwise equal
+    for steps in (3, 101, 1001):
+        result = analysis.sweep(ScenarioId.CLASSICAL_POLARIZATION, steps, amplitude=amplitude)
+        assert _same(result.probabilities, result.closed_forms).all()
 
 
 def test_equal_values_away_from_a_tie_share_their_cell():

@@ -41,8 +41,8 @@ def test_basis_ket_rejects_negative_entry():
 def test_basis_ket_rejects_photon_bound():
     with pytest.raises(InvalidOccupationError):
         basis_ket((9, 0))
-    # configurable bound
-    state = basis_ket((9, 0), photon_bound=12)
+    # exactly the bound is accepted
+    state = basis_ket((8, 0))
     assert state.normalized
 
 
@@ -105,8 +105,8 @@ def test_tensor_builds_delayed_two_photon_state():
 def test_tensor_photon_bound():
     with pytest.raises(InvalidOccupationError):
         tensor(basis_ket((5,)), basis_ket((4,)))
-    state = tensor(basis_ket((5,)), basis_ket((4,)), photon_bound=9)
-    assert state.amplitude((5, 4)) == 1.0
+    state = tensor(basis_ket((5,)), basis_ket((3,)))
+    assert state.amplitude((5, 3)) == 1.0
 
 
 def test_fidelity_self():

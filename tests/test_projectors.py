@@ -17,6 +17,7 @@ from fockproj import (
     classical_intensity,
     event_sum,
     fidelity,
+    fock,
     hofmann_cascade,
     indistinguishability,
     lift,
@@ -232,6 +233,15 @@ def test_proper_projection_recovers_overlap_probability(scenario, gamma_grid):
             transformed = lift(u, state)
         p = pure_projection(transformed, xi)
         assert abs(p - indistinguishability(scenario, g)) < 1e-11
+
+
+@pytest.mark.parametrize("scenario", models.QUANTUM_SCENARIOS)
+def test_reference_coefficients_need_no_pruning(scenario):
+    # scenario_curve builds its overlap row from conj(c_k(0)) without the prune a
+    # FockState applies, which agree only while no c_k(0) is small but nonzero
+    for member in models.SCENARIOS[scenario].coefficients(0.0):
+        for c in member:
+            assert c == 0 or abs(c) > fock.PRUNE_TOL, (scenario, member)
 
 
 OFFAXIS = ProjectorAngles(math.pi / 8, math.pi)
