@@ -53,8 +53,8 @@ class SweepResult:
     `writeable` flag cannot be set back: `probabilities` holds raw engine
     values (range-guarded upstream, not clamped), `closed_forms` the analytic
     reference curve; `indistinguishability` is None for classical
-    light.  `params` records the scenario parameters needed to re-evaluate the
-    curve.  Results compare by identity: arrays have no truth value under ==.
+    light.  `params` records the scenario parameters, defaults filled in.
+    Results compare by identity: arrays have no truth value under ==.
     """
 
     scenario: ScenarioId
@@ -109,16 +109,14 @@ def probability_function(
     return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0][0])
 
 
-def _steps(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index and sign of every first difference of `values` outside +-tol (finite, >= 0)."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+def _steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign of every first difference of `values` outside +-MONOTONICITY_TOL."""
     if values.size < 3:
         raise ValueError("need at least 3 samples to classify monotonicity")
     if not np.isfinite(values).all():
         raise ValueError("cannot classify a curve with a sample that is not finite")
     diffs = np.diff(values)
-    index = np.flatnonzero(np.abs(diffs) > tol)
+    index = np.flatnonzero(np.abs(diffs) > MONOTONICITY_TOL)
     return index, np.sign(diffs[index])
 
 
@@ -130,9 +128,10 @@ def _verdict(signs: np.ndarray) -> Verdict:
     return Verdict.NON_DECREASING if signs[0] > 0 else Verdict.NON_INCREASING
 
 
-def classify_monotonicity(values: Sequence[float], tol: float = MONOTONICITY_TOL) -> Verdict:
-    """Verdict on a sampled curve: steps within +-tol count as flat; a non-finite sample raises."""
-    return _verdict(_steps(np.fromiter(values, dtype=float), tol)[1])
+def classify_monotonicity(values: Sequence[float]) -> Verdict:
+    """Verdict on a sampled curve: steps within +-MONOTONICITY_TOL count as flat; a non-finite
+    sample raises."""
+    return _verdict(_steps(np.fromiter(values, dtype=float))[1])
 
 
 _NODES = np.arange(16) * (math.pi / 8)  # one period, twice the rate a degree-4 curve needs
@@ -179,6 +178,9 @@ def _stationary_points(samples: np.ndarray) -> list[float]:
 
 
 def _extrema(curve, nodes, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
+    """Two consecutive steps outside the tolerance with opposite signs, j < k, bracket an
+    extremum on [gammas[j], gammas[k + 1]]; of the stationary points strictly inside, the one
+    with the most extreme value is reported.  Endpoints are never reported."""
     turns = np.flatnonzero(signs[1:] == -signs[:-1])
     if not turns.size:
         return ()
@@ -196,18 +198,10 @@ def _extrema(curve, nodes, gammas, index: np.ndarray, signs: np.ndarray) -> tupl
     return tuple(found)
 
 
-def find_extrema(result: SweepResult, tol: float = MONOTONICITY_TOL) -> tuple[Extremum, ...]:
-    """Interior extrema of the sampled curve, located exactly on its compiled curve.
-
-    Two consecutive steps outside +-tol with opposite signs, j < k, bracket
-    an extremum on [gammas[j], gammas[k + 1]] (flatter steps are skipped
-    over).  Of the stationary points strictly inside, the one with the most
-    extreme value is reported.  Monotone and constant curves yield an empty
-    tuple; endpoints are never reported.
-    """
-    index, signs = _steps(np.asarray(result.probabilities, float), tol)
-    curve = projectors.scenario_curve(result.scenario, result.params)
-    return _extrema(curve, curve(_NODES)[0], result.gammas, index, signs)
+def find_extrema(result: SweepResult) -> tuple[Extremum, ...]:
+    """The interior extrema `sweep` found, `result.extrema`; nothing is compiled.  It stays
+    only as a layer that the benchmark's span table (fockbench/spans.py) wraps by name."""
+    return result.extrema
 
 
 def sweep(
@@ -232,7 +226,7 @@ def sweep(
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):
         column.flags.writeable = False  # and so every view of it, which cannot be made writeable again
-    index, signs = _steps(values[:steps], MONOTONICITY_TOL)
+    index, signs = _steps(values[:steps])
     return SweepResult(
         scenario=scenario,
         gammas=grid[:],

@@ -225,6 +225,3 @@ def run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     return run(parse_args(argv if argv is not None else sys.argv[1:]))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

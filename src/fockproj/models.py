@@ -167,7 +167,11 @@ def _polarization_closed(g, p):
 
 
 def _intensity(g, theta1: float, theta2: float, amplitude: float):
-    return (amplitude / 2.0) ** 4 * np.cos(g - theta1) ** 2 * np.cos(g - theta2) ** 2
+    # cos(g - theta) expanded, so that a far polarizer angle does not round g away
+    c, s = np.cos(g), np.sin(g)
+    field1 = c * math.cos(theta1) + s * math.sin(theta1)
+    field2 = c * math.cos(theta2) + s * math.sin(theta2)
+    return (amplitude / 2.0) ** 4 * field1 ** 2 * field2 ** 2
 
 
 def classical_intensity(

@@ -18,6 +18,7 @@ from fockproj.analysis import (
     _NODES,
     ExtremumKind,
     Verdict,
+    _extrema,
     _stationary_points,
     _verdict,
     classify_monotonicity,
@@ -176,15 +177,9 @@ def test_verdict_of_step_signs(signs, verdict):
 
 
 def test_classify_monotonicity_tolerance_absorbs_noise():
-    wiggly = [0.5, 0.5 + 3e-10, 0.5 - 3e-10, 0.5]
-    assert classify_monotonicity(wiggly) is Verdict.CONSTANT
-    assert classify_monotonicity(wiggly, tol=1e-11) is Verdict.NON_MONOTONIC
-
-
-@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
-def test_classify_monotonicity_refuses_a_negative_or_non_finite_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        classify_monotonicity([0.0, 0.0, 0.0], tol)
+    # steps of 6e-10 lie inside the fixed +-1e-9, steps of 6e-9 outside it
+    assert classify_monotonicity([0.5, 0.5 + 3e-10, 0.5 - 3e-10, 0.5]) is Verdict.CONSTANT
+    assert classify_monotonicity([0.5, 0.5 + 3e-9, 0.5 - 3e-9, 0.5]) is Verdict.NON_MONOTONIC
 
 
 def test_classify_monotonicity_needs_three_points():
@@ -255,7 +250,7 @@ def test_a_sweep_compiles_its_curve_once(monkeypatch, scenario, lifts):
     result = sweep(scenario, 101)
     assert result.extrema  # refinement ran, on the same compiled curve
     assert len(calls) == lifts
-    assert find_extrema(result) == result.extrema  # compiles its own curve
+    assert find_extrema(result) == result.extrema
 
 
 def _brackets(result, tol=1e-9):
@@ -318,6 +313,28 @@ def test_close_classical_turns_lie_on_the_polarizer_zeros():
     assert abs(last.gamma - (CLOSE_TURNS["theta1"] - math.pi / 2)) < 1e-12
     middle = (CLOSE_TURNS["theta1"] + CLOSE_TURNS["theta2"]) / 2 - math.pi / 2
     assert abs(peak.gamma - middle) < 1e-12
+
+
+def test_a_far_polarizer_angle_keeps_gamma():
+    # cos(g - 1e13) keeps about three digits of g; the same polarizer in (-pi, pi] keeps all
+    reduced = math.atan2(math.sin(1e13), math.cos(1e13))
+    result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 1001, theta1=1e13, theta2=0.3)
+    g = result.gammas
+    assert np.abs(result.probabilities - np.cos(g - reduced) ** 2 * np.cos(g - 0.3) ** 2).max() < 1e-15
+    peak, zero = result.extrema  # not a Min and a Max at each of two gammas
+    assert (peak.kind, zero.kind) == (ExtremumKind.MAX, ExtremumKind.MIN)
+    assert abs(peak.gamma - (reduced + 0.3) / 2) < 1e-12
+    assert abs(zero.gamma - (reduced + math.pi / 2)) < 1e-12
+
+
+@pytest.mark.parametrize("scenario", models.QUANTUM_SCENARIOS)
+def test_the_overlap_never_turns_so_gamma_is_distinguishability_mirrored(scenario):
+    # a verdict or an extremum in gamma is then one in the overlap, read from the other end
+    curve = projectors.scenario_curve(scenario, _seeded_params(random.Random(f"axis:{scenario.value}"), scenario))
+    grid = np.arange(MAX_STEPS) * (math.pi / 2) / (MAX_STEPS - 1)
+    _, overlap = curve(np.concatenate((grid, _NODES)))
+    assert not [x for x in _stationary_points(overlap[MAX_STEPS:]) if 1e-9 <= x <= math.pi / 2 - 1e-9]
+    assert np.diff(overlap[:MAX_STEPS]).max() <= 0.0
 
 
 @pytest.mark.parametrize("steps", [101, 1001])
@@ -409,15 +426,29 @@ def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value():
     values = curve(x)[0][(lo < x) & (x < hi)]
     assert len(values) == 3  # both zeros and the shallow peak between them
     assert minimum.value == values.min()
-    assert find_extrema(result) == result.extrema
 
 
 def test_turns_of_rounding_noise_are_not_extrema():
-    # cos(pi/2) ~ 6e-17: the curve is constant up to rounding, which tol 0 reads as turns
+    # cos(pi/2) ~ 6e-17: the curve is constant up to rounding, which tolerance 0 reads as turns
     result = sweep(ScenarioId.SINGLE_PHASE_NOISE, 101, ProjectorAngles(0.3, math.pi / 2))
     assert result.verdict is Verdict.CONSTANT
     assert len(_brackets(result, tol=0.0)) > 10
-    assert find_extrema(result, 0.0) == ()
+    diffs = np.diff(result.probabilities)
+    index = np.flatnonzero(diffs)
+    curve = projectors.scenario_curve(result.scenario, result.params)
+    assert _extrema(curve, curve(_NODES)[0], result.gammas, index, np.sign(diffs[index])) == ()
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_find_extrema_reads_the_sweep_without_compiling_a_curve(monkeypatch, scenario):
+    angles, detectors, params = _seeded_sweep_arguments(random.Random(f"read:{scenario.value}"), scenario)
+    result = sweep(scenario, 101, angles, detectors, **params)
+
+    def refuse(*args):
+        raise AssertionError("find_extrema compiled a curve")
+
+    monkeypatch.setattr(projectors, "scenario_curve", refuse)
+    assert find_extrema(result) is result.extrema
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))

@@ -19,7 +19,7 @@ from fockproj import (
     pure_projection,
     tensor,
 )
-from fockproj.analysis import Verdict, classify_monotonicity, probability_function
+from fockproj.analysis import MONOTONICITY_TOL, Verdict, classify_monotonicity, probability_function
 
 
 @st.composite
@@ -117,12 +117,23 @@ def test_phase_noise_curves_never_turn_around(beta, theta):
 
 
 @given(
-    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=12),
-    st.one_of(st.sampled_from([0.0, 1e-9, 0.25]), st.floats(min_value=0.0, max_value=1.0)),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.lists(  # steps on both sides of the fixed tolerance +-1e-9, and some far outside it
+        st.one_of(
+            st.floats(min_value=-3e-9, max_value=3e-9),
+            st.sampled_from([-0.25, -1e-9, 0.0, 1e-9, 0.25]),
+        ),
+        min_size=2,
+        max_size=11,
+    ),
 )
 @settings(max_examples=200, deadline=None)
-def test_classify_monotonicity_matches_its_definition(values, tol):
+def test_classify_monotonicity_matches_its_definition(start, steps):
+    values = [start]
+    for step in steps:
+        values.append(values[-1] + step)
     diffs = [b - a for a, b in zip(values, values[1:])]
+    tol = MONOTONICITY_TOL
     non_decreasing = all(d >= -tol for d in diffs)
     non_increasing = all(d <= tol for d in diffs)
     expected = {
@@ -131,7 +142,7 @@ def test_classify_monotonicity_matches_its_definition(values, tol):
         (False, True): Verdict.NON_INCREASING,
         (False, False): Verdict.NON_MONOTONIC,
     }[non_decreasing, non_increasing]
-    assert classify_monotonicity(values, tol) is expected
+    assert classify_monotonicity(values) is expected
 
 
 @given(st.floats(min_value=0.0, max_value=math.pi / 2))
