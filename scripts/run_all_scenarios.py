@@ -51,7 +51,7 @@ def main(argv=None) -> None:
         print(f"{'configuration':<28} {'verdict':<14} extrema")
         for stem, scenario, angles, detectors in CONFIGS:
             result = analysis.sweep(scenario, args.steps, angles, detectors)
-            (outdir / f"{stem}.csv").write_text(cli.render_csv(result), encoding="utf-8")
+            cli._write(str(outdir / f"{stem}.csv"), cli.render_csv(result))  # replaced atomically
             if result.extrema:
                 marks = ", ".join(
                     f"{e.kind.value.lower()} {e.value:.6f} at gamma={e.gamma:.6f}"

@@ -213,6 +213,8 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_INVARIANT
     try:
         if args.output in (None, "-"):
+            if sys.stdout is None:  # the process was started with stdout closed
+                raise OSError("stdout is closed")
             sys.stdout.write(text)
         else:
             _write(args.output, text)
@@ -225,3 +227,6 @@ def run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     return run(parse_args(argv if argv is not None else sys.argv[1:]))
 
+
+if __name__ == "__main__":  # `python -m fockproj.cli` would run a second copy of this module
+    sys.exit("fockproj: run `python -m fockproj` or `fockproj`, not `python -m fockproj.cli`")

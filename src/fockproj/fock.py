@@ -136,9 +136,6 @@ class FockState:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "FockState":
-        return self * (-1.0)
-
     def __repr__(self) -> str:
         terms = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.items()[:6])
         suffix = ", ..." if len(self._amps) > 6 else ""
@@ -168,10 +165,6 @@ class StateEnsemble:
             raise ValueError(f"weights sum to {total}, expected 1")
         self.members = entries
 
-    @property
-    def mode_count(self) -> int:
-        return self.members[0][1].mode_count
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -195,17 +188,13 @@ def inner_product(bra: FockState, ket: FockState) -> complex:
 
 
 def tensor(left: FockState, right: FockState) -> FockState:
-    """Tensor product; mode counts add and amplitudes multiply pairwise."""
-    out: dict[tuple[int, ...], complex] = {}
-    for occ_l, amp_l in left._amps.items():
-        for occ_r, amp_r in right._amps.items():
-            key = occ_l + occ_r
-            if sum(key) > PHOTON_BOUND:
-                raise InvalidOccupationError(
-                    f"tensor product holds {sum(key)} photons, bound is {PHOTON_BOUND}"
-                )
-            out[key] = out.get(key, 0j) + amp_l * amp_r
-    return FockState._raw(left.mode_count + right.mode_count, out)
+    """Tensor product; mode counts add and amplitudes multiply pairwise.  The
+    constructor checks every joined occupation against the photon bound."""
+    return FockState(
+        left.mode_count + right.mode_count,
+        {occ_l + occ_r: amp_l * amp_r
+         for occ_l, amp_l in left._amps.items() for occ_r, amp_r in right._amps.items()},
+    )
 
 
 def fidelity(reference: FockState, state: Union[FockState, StateEnsemble]) -> float:

@@ -26,7 +26,6 @@ from .fock import (
 from .models import ScenarioId, classical_intensity, two_photon_xi  # noqa: F401  (re-exported)
 
 PROBABILITY_SLACK = 1e-9
-PROJECTOR_NORM_TOL = 1e-12
 
 
 class ProbabilityRangeError(ArithmeticError):
@@ -108,9 +107,8 @@ def scenario_events(scenario: ScenarioId) -> EventSumProjector:
 def pure_projection(
     state: Union[FockState, StateEnsemble], projector: FockState
 ) -> float:
-    """|<xi|psi>|^2 for pure states, weight-averaged over ensembles."""
-    if abs(projector.norm_squared() - 1.0) > PROJECTOR_NORM_TOL:
-        raise ValueError("projector state must be normalized")
+    """|<xi|psi>|^2 for pure states, weight-averaged over ensembles; `fidelity`
+    refuses a projector that is not normalized."""
     return _checked_probability(fock.fidelity(projector, state))
 
 
@@ -131,7 +129,7 @@ def loss_marginal_projection(state: FockState, projector: FockState) -> float:
         raise DimensionMismatchError(
             f"state has {state.mode_count} modes, projector must cover all but the ancilla"
         )
-    if abs(projector.norm_squared() - 1.0) > PROJECTOR_NORM_TOL:
+    if not projector.normalized:
         raise ValueError("projector state must be normalized")
     by_ancilla: dict[int, complex] = {}
     for occ, amp in state._amps.items():

@@ -60,20 +60,6 @@ def identity(total_modes: int) -> ModeUnitary:
     return ModeUnitary(np.eye(total_modes))
 
 
-def _embedded_block(block, mode_a: int, mode_b: int, total_modes: int) -> ModeUnitary:
-    if mode_a == mode_b:
-        raise ValueError("block requires two distinct modes")
-    for idx in (mode_a, mode_b):
-        if not 0 <= idx < total_modes:
-            raise ValueError(f"mode index {idx} out of range for {total_modes} modes")
-    m = np.eye(total_modes, dtype=complex)
-    m[mode_a, mode_a] = block[0][0]
-    m[mode_a, mode_b] = block[0][1]
-    m[mode_b, mode_a] = block[1][0]
-    m[mode_b, mode_b] = block[1][1]
-    return ModeUnitary(m)
-
-
 def beamsplitter_5050(mode_a: int, mode_b: int, total_modes: int) -> ModeUnitary:
     """Balanced beam splitter on two modes, identity elsewhere.
 
@@ -81,8 +67,16 @@ def beamsplitter_5050(mode_a: int, mode_b: int, total_modes: int) -> ModeUnitary
     b^dag -> (a^dag - b^dag)/sqrt(2), so two photons entering one on each
     side bunch as (|2,0> - |0,2>)/sqrt(2).
     """
+    if mode_a == mode_b:
+        raise ValueError("beam splitter requires two distinct modes")
+    for idx in (mode_a, mode_b):
+        if not 0 <= idx < total_modes:
+            raise ValueError(f"mode index {idx} out of range for {total_modes} modes")
     r = 1.0 / math.sqrt(2.0)
-    return _embedded_block([[r, r], [r, -r]], mode_a, mode_b, total_modes)
+    m = np.eye(total_modes, dtype=complex)
+    m[mode_a, mode_a] = m[mode_a, mode_b] = m[mode_b, mode_a] = r
+    m[mode_b, mode_b] = -r
+    return ModeUnitary(m)
 
 
 def polarization_rotation(angle: float) -> ModeUnitary:

@@ -439,6 +439,11 @@ def test_turns_of_rounding_noise_are_not_extrema():
     assert _extrema(curve, curve(_NODES)[0], result.gammas, index, np.sign(diffs[index])) == ()
 
 
+def test_a_flat_curve_has_no_stationary_points():
+    # every harmonic is zero, so there is no slope polynomial to solve
+    assert _stationary_points(np.ones(16)) == []
+
+
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_find_extrema_reads_the_sweep_without_compiling_a_curve(monkeypatch, scenario):
     angles, detectors, params = _seeded_sweep_arguments(random.Random(f"read:{scenario.value}"), scenario)

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import random
+import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -242,6 +245,45 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, suffix):
     assert code == cli.EXIT_IO
     assert len(err.splitlines()) == 1 and "cannot write" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_device_is_written_in_place(capsys):
+    # os.replace cannot put a file in place of a device, so the table goes straight into it
+    code, out, err = _run_capture(["--scenario", "hom2", "--steps", "3", "--output", os.devnull],
+                                  capsys)
+    assert (code, out, err) == (cli.EXIT_OK, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_a_new_directory_path_is_io_error_and_creates_nothing(tmp_path, capsys):
+    target = str(tmp_path / "new") + os.sep
+    code, out, err = _run_capture(["--scenario", "hom2", "--steps", "3", "--output", target],
+                                  capsys)
+    assert code == cli.EXIT_IO and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("fockproj: cannot write output:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_stdout_is_io_error(monkeypatch, capsys):
+    # a process started with its stdout closed has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    code = cli.main(["--scenario", "hom2", "--steps", "3"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err == "fockproj: cannot write output: stdout is closed\n"
+
+
+def test_running_the_cli_module_is_refused():
+    # `python -m fockproj.cli` would load a second copy of the module; it sweeps nothing
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockproj.cli", "--scenario", "hom2", "--steps", "3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "python -m fockproj`" in proc.stderr and "`fockproj`" in proc.stderr
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))

@@ -167,3 +167,44 @@ def test_normalize_zero_state_errors():
 def test_amplitude_pruning_drops_tiny_terms():
     state = FockState(2, {(1, 0): 1.0, (0, 1): 1e-16})
     assert len(state) == 1
+
+
+def test_tensor_refuses_the_photon_bound_with_the_constructor_message():
+    # one bound check: the occupation check that every FockState runs
+    with pytest.raises(InvalidOccupationError, match="total photon number 9 exceeds the bound 8"):
+        tensor(basis_ket((5,)), basis_ket((4,)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: FockState(0, {}), ValueError, "mode_count must be positive"),
+        (lambda: FockState(2, {(1, 0, 0): 1.0}), DimensionMismatchError, "has 3 modes"),
+        (lambda: basis_ket((1, 0)) + 1, TypeError, "unsupported operand"),
+        (lambda: basis_ket((1, 0)) + basis_ket((1, 0, 0)), DimensionMismatchError,
+         "different mode counts"),
+        (lambda: StateEnsemble([]), ValueError, "at least one member"),
+        (lambda: StateEnsemble(((0.5, basis_ket((1, 0))), (0.5, basis_ket((1, 0, 0))))),
+         DimensionMismatchError, "share mode count"),
+    ],
+    ids=["no-modes", "occupation-length", "add-a-number", "add-across-modes",
+         "empty-ensemble", "mixed-ensemble"],
+)
+def test_states_and_ensembles_refuse_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_isclose_across_mode_counts_is_false():
+    assert not basis_ket((1, 0)).isclose(basis_ket((1, 0, 0)))
+
+
+def test_repr_lists_at_most_six_terms():
+    assert repr(FockState(2, {(1, 0): 0.6, (0, 1): -0.8j})) == (
+        "FockState(2, {(0, 1): 0-0.8j, (1, 0): 0.6+0j})"
+    )
+    seven = FockState(2, {(n, 0): 0.25 for n in range(7)})
+    assert repr(seven) == (
+        "FockState(2, {(0, 0): 0.25+0j, (1, 0): 0.25+0j, (2, 0): 0.25+0j, (3, 0): 0.25+0j, "
+        "(4, 0): 0.25+0j, (5, 0): 0.25+0j, ...})"
+    )

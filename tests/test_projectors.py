@@ -361,3 +361,30 @@ def test_classical_intensity_validates_arguments():
     for bad in ((math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf), (0.0, 0.0, 1e100)):
         with pytest.raises(ValueError):
             classical_intensity(0.1, *bad)
+
+
+def test_event_sum_projector_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="negative count"):
+        EventSumProjector([(1, -1)], (True, True))
+
+
+def test_single_loss_is_not_an_event_sum_scenario():
+    with pytest.raises(UnsupportedScenarioError, match="single-loss"):
+        scenario_events(ScenarioId.SINGLE_LOSS)
+
+
+# both measurements ask the projector the one question `FockState.normalized` answers
+@pytest.mark.parametrize(
+    "measure, state",
+    [(pure_projection, basis_ket((1, 0))), (loss_marginal_projection, basis_ket((1, 0, 0)))],
+    ids=["pure", "loss-marginal"],
+)
+def test_measurements_share_one_normalization_rule(measure, state):
+    xi = basis_ket((1, 0))
+    assert measure(state, xi) == 1.0
+    near = (1.0 + 1e-13) * xi  # norm squared 1 + 2e-13, within fock.NORMALIZATION_TOL
+    assert near.normalized and abs(measure(state, near) - 1.0) < 1e-12
+    for off in (2.0 * xi, (1.0 + 1e-12) * xi):
+        assert not off.normalized
+        with pytest.raises(ValueError, match="must be normalized"):
+            measure(state, off)

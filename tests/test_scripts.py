@@ -73,6 +73,31 @@ def test_run_all_scenarios_writes_every_configuration(tmp_path, capsys):
     assert "wrote 10 files" in capsys.readouterr().out
 
 
+def test_run_all_scenarios_replaces_its_tables_atomically(tmp_path, monkeypatch, capsys):
+    # the tables go through the CLI's writer: a rerun replaces them and leaves no temp file,
+    # and a failed replace keeps the earlier table whole
+    script = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))
+    main, cli = script["main"], script["cli"]
+    argv = ["--steps", "3", "--outdir", str(tmp_path)]
+    main(argv)
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    main(argv)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+    assert len(first) == 10 and not list(tmp_path.glob("*.tmp"))
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(tmp_path / "hom2.csv") in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
 @pytest.mark.parametrize("nested", [False, True])
 def test_run_all_scenarios_names_an_unusable_outdir(nested, tmp_path, capsys):
     # an existing file as the directory, or as a parent of it: exit 2 with one line

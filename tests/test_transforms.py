@@ -147,3 +147,17 @@ def test_mode_unitary_rejects_non_unitary_matrix():
 def test_mode_unitary_composition_checks_dimension():
     with pytest.raises(DimensionMismatchError):
         identity(2) @ identity(3)
+
+
+def test_mode_unitary_repr_names_its_dimension():
+    assert repr(beamsplitter_5050(0, 2, 4)) == "ModeUnitary(dimension=4)"
+
+
+@pytest.mark.parametrize(
+    "modes, message",
+    [((0, 0, 2), "two distinct modes"), ((0, 4, 4), "mode index 4 out of range for 4 modes"),
+     ((-1, 0, 2), "mode index -1 out of range")],
+)
+def test_beamsplitter_names_the_mode_it_refuses(modes, message):
+    with pytest.raises(ValueError, match=message):
+        beamsplitter_5050(*modes)
