@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from test_cli import _seeded_sweep
 from fockproj import (
     DetectorModel,
     ProjectorAngles,
@@ -299,6 +300,30 @@ def test_every_extremum_lies_on_an_analytic_stationary_point(scenario, bound):
                 assert min(abs(e.gamma - x) for x in analytic) < bound
                 found += 1
     assert found >= 20
+
+
+def test_single_deliberate_extrema_lie_within_rounding_of_the_analytic_turn():
+    # solving with the harmonics below _TRIM, which are rounding, moves a turn by ~3e-15
+    found = 0
+    for seed in range(300):
+        for steps in (3, 11, 101):
+            result = _seeded_sweep(ScenarioId.SINGLE_DELIBERATE, steps, seed)
+            analytic = _oracles.analytic_stationary_points("single-deliberate", result.params)
+            for e in result.extrema:
+                assert min(abs(e.gamma - x) for x in analytic) < 1.5e-15
+                found += 1
+    assert found >= 300
+
+
+# polarizers 0.0024 apart (mod pi): their two zeros and the peak between lie 0.0012 apart
+NEAR_ZEROS = dict(theta1=-1.5479621485615525, theta2=-4.68714630310717, amplitude=8.389071388121284)
+
+
+def test_roots_a_thousandth_apart_are_not_merged():
+    # merged, they would give their centroid, where the curve is 6.5e-10 and not 0
+    (minimum,) = sweep(ScenarioId.CLASSICAL_POLARIZATION, 101, **NEAR_ZEROS).extrema
+    assert minimum.kind is ExtremumKind.MIN
+    assert abs(minimum.gamma - (NEAR_ZEROS["theta1"] + math.pi / 2)) < 1e-10
 
 
 # polarizers 0.039 apart: both zeros and the peak between them lie within three 101-grid steps

@@ -273,17 +273,48 @@ def test_a_closed_stdout_is_io_error(monkeypatch, capsys):
     assert err == "fockproj: cannot write output: stdout is closed\n"
 
 
-def test_running_the_cli_module_is_refused():
-    # `python -m fockproj.cli` would load a second copy of the module; it sweeps nothing
+def _python(*argv, **kwargs):
+    """A child Python process that imports the fockproj under test."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockproj.cli", "--scenario", "hom2", "--steps", "3"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
-    )
+    return subprocess.run([sys.executable, *argv], text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+def test_running_the_cli_module_is_refused():
+    # `python -m fockproj.cli` would load a second copy of the module; it sweeps nothing
+    proc = _python("-m", "fockproj.cli", "--scenario", "hom2", "--steps", "3", capture_output=True)
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "python -m fockproj`" in proc.stderr and "`fockproj`" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "hom4-coincidence", "--steps", "11"],
+        # a far polarizer angle: no gamma reported as both a Min and a Max
+        ["--scenario", "classical-polarization", "--theta1", "1e13", "--theta2", "0.3", "--steps", "1001"],
+    ],
+    ids=["hom4-coincidence", "far-polarizer"],
+)
+def test_python_m_fockproj_prints_a_finite_json_table(argv):
+    # the package's __main__ runs as its own process, outside pytest's warning filter
+    proc = _python("-W", "error::RuntimeWarning", "-m", "fockproj", *argv, "--format", "json",
+                   capture_output=True)
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    payload = json.loads(proc.stdout, parse_float=_finite,
+                         parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+    gammas = [e["gamma"] for e in payload["extrema"]]
+    assert gammas and len(set(gammas)) == len(gammas)
+
+
+def test_a_process_started_with_stdout_closed_exits_with_an_io_error():
+    # fd 1 closed in the child, as by the shell's `fockproj >&-`
+    proc = _python("-m", "fockproj", "--scenario", "hom2", "--steps", "3",
+                   stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == cli.EXIT_IO
+    assert proc.stderr == "fockproj: cannot write output: stdout is closed\n"
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import _oracles
@@ -30,6 +31,7 @@ from fockproj import (
     two_photon_xi,
 )
 from fockproj.analysis import Verdict, classify_monotonicity, probability_function, sweep
+from fockproj.projectors import scenario_curve
 
 GRID_21 = [i * math.pi / 2 / 20 for i in range(21)]
 SQ2 = math.sqrt(2.0)
@@ -130,6 +132,14 @@ def test_event_sum_guards_raw_probability():
     inflated = 1.2 * basis_ket((1, 0, 0, 1))
     with pytest.raises(ProbabilityRangeError):
         event_sum(inflated, scenario_events(ScenarioId.HOM2))
+
+
+def test_the_range_guard_passes_rounding_above_one_and_no_more():
+    # PROBABILITY_SLACK is 1e-9: a raw 1 + 5e-10 is rounding, a raw 1 + 2e-9 an error
+    events = scenario_events(ScenarioId.HOM2)
+    assert event_sum(math.sqrt(1 + 5e-10) * basis_ket((1, 0, 0, 1)), events) > 1.0
+    with pytest.raises(ProbabilityRangeError):
+        event_sum(math.sqrt(1 + 2e-9) * basis_ket((1, 0, 0, 1)), events)
 
 
 def test_single_photon_projector_examples():
@@ -242,6 +252,14 @@ def test_reference_coefficients_need_no_pruning(scenario):
     for member in models.SCENARIOS[scenario].coefficients(0.0):
         for c in member:
             assert c == 0 or abs(c) > fock.PRUNE_TOL, (scenario, member)
+
+
+def test_the_prune_drops_the_rounding_of_cos_half_pi_and_keeps_1e_12():
+    # cos(pi/2) is 6.1e-17, rounding that must give an overlap of exactly 0;
+    # cos(pi/2 - 1e-12) is a real amplitude of 1e-12, whose square must survive
+    _, overlap = scenario_curve(ScenarioId.HOM2, {})(np.array([math.pi / 2 - 1e-12, math.pi / 2]))
+    assert 0.9e-24 < overlap[0] < 1.1e-24
+    assert overlap[1] == 0.0
 
 
 OFFAXIS = ProjectorAngles(math.pi / 8, math.pi)

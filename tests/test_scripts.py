@@ -66,9 +66,10 @@ def test_run_all_scenarios_refuses_a_repeated_flag(flag, argv, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_all_scenarios_writes_every_configuration(tmp_path, capsys):
+@pytest.mark.parametrize("steps", ["3", "101"])
+def test_run_all_scenarios_writes_every_configuration(steps, tmp_path, capsys):
     main = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))["main"]
-    main(["--steps", "3", "--outdir", str(tmp_path)])
+    main(["--steps", steps, "--outdir", str(tmp_path)])
     assert len(list(tmp_path.glob("*.csv"))) == 10
     assert "wrote 10 files" in capsys.readouterr().out
 
