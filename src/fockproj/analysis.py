@@ -12,6 +12,8 @@ import cmath
 import enum
 import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -135,45 +137,189 @@ def classify_monotonicity(values: Sequence[float]) -> Verdict:
 
 
 _NODES = np.arange(16) * (math.pi / 8)  # one period, twice the rate a degree-4 curve needs
-_TRIM = 1e-14  # a harmonic smaller than this share of the largest is rounding
-_CIRCLE = 1e-3  # a root this close to |z| = 1 is a stationary point on the real line
-_MERGE = 2e-5  # roots closer than this in angle are one multiple root split by rounding
+_TRIM = 1e-14  # a harmonic whose amplitude is below this share of the largest sample is rounding
+_MERGE = 2e-5  # slope roots closer than this in angle are one multiple root split by rounding
+_EPS = sys.float_info.epsilon  # the relative rounding of a float: a step or a sum below it is noise
+
+
+def _cos8(m: int) -> float:
+    """cos(m pi/8), exactly 0 or +-1 at the multiples of pi/2."""
+    return math.sin((4 - abs((m + 8) % 16 - 8)) * math.pi / 8)
+
+
+# the folded real DFT: harmonic k of the node samples s_j is X_k = re_k - i im_k, with
+# re_k = s_0 + (-1)^k s_8 + sum_{j=1..7} (s_j + s_{16-j}) cos(kj pi/8) and
+# im_k = sum_{j=1..7} (s_j - s_{16-j}) sin(kj pi/8); these are the two tables for k = 1..4
+_FOLD = [([_cos8(k * j) for j in range(1, 8)], [_cos8(k * j - 4) for j in range(1, 8)])
+         for k in range(1, 5)]
+
+# The roots are looked for on the window [pi/4 - _HALF, pi/4 + _HALF] = [-_MERGE, pi/2 + _MERGE],
+# in the coordinate x in [0, 1] with tan((g - pi/4)/2) = _TAU (2x - 1).
+_HALF = math.pi / 4 + _MERGE
+_TAU = math.tan(_HALF / 2)
+
+
+def _bernstein(n: int) -> list:
+    """Row j, column k - 1: the j-th of the 2n + 1 Bernstein coefficients over x of
+    e^{ikg} (1 + t^2)^n / (1 + _TAU^2)^n, t = tan((g - pi/4)/2).  With u = 1 - x, v = x and
+    h = _HALF that function is e^{ik(pi/4 - h)} (u + e^{ih} v)^(n+k) (u + e^{-ih} v)^(n-k)."""
+    return [[cmath.exp(1j * k * (math.pi / 4 - _HALF)) / math.comb(2 * n, j) * sum(
+        math.comb(n + k, a) * math.comb(n - k, j - a) * cmath.exp(1j * _HALF * (2 * a - j))
+        for a in range(max(0, j - n + k), min(j, n + k) + 1)) for k in range(1, n + 1)]
+        for j in range(2 * n + 1)]
+
+
+_BERNSTEIN = {n: _bernstein(n) for n in range(1, 5)}
+
+
+def _angle(x: float) -> float:
+    """The gamma at window coordinate x."""
+    return math.pi / 4 + 2 * math.atan(_TAU * (2 * x - 1))
+
+
+def _variations(b: list) -> int:
+    """Sign changes along `b`, zeros skipped: at least the number of roots inside, and of
+    the same parity."""
+    signs = [v > 0 for v in b if v]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _halves(b: list) -> tuple[list, list]:
+    """De Casteljau at x = 1/2: the Bernstein coefficients of both halves."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(p + q) * 0.5 for p, q in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _terms(w: list, order: int) -> list:
+    """Pairs (c_k, ik c_k), c_k = (ik)^order w_k: the order-th derivative of
+    Re sum_k w_k e^{ikg}, and the slope of that derivative."""
+    return [(c * (1j * k) ** order, c * (1j * k) ** (order + 1)) for k, c in enumerate(w, 1)]
+
+
+def _value(terms: list, g: float) -> tuple[float, float]:
+    """Re sum_k c_k e^{ikg} and its slope at g."""
+    z = complex(math.cos(g), math.sin(g))
+    zk, f, df = 1.0, 0j, 0j
+    for c, d in terms:
+        zk *= z
+        f += c * zk
+        df += d * zk
+    return f.real, df.real
+
+
+def _polish(terms: list, lo: float, hi: float, rising: bool, g: float) -> float:
+    """The root in [lo, hi] of the function of `terms`, which rises through it if `rising`,
+    from `g`: Newton steps inside the shrinking sign-change bracket, and a bisection where a
+    step would leave it or not halve (rtsafe: W. H. Press et al., Numerical Recipes).  It
+    stops once a step or the function is down to rounding."""
+    last, rounding = hi - lo, _EPS * sum(abs(c) for c, _ in terms)
+    while True:
+        f, df = _value(terms, g)
+        if (f > 0) == rising:
+            hi = g
+        else:
+            lo = g
+        step = f / df if df else last
+        if abs(step) <= _EPS or abs(f) <= rounding:
+            return g - step if lo <= g - step <= hi else g
+        if lo < g - step < hi and 2 * abs(step) <= abs(last):
+            g, last = g - step, step
+        elif lo < (lo + hi) / 2 < hi:
+            g, last = (lo + hi) / 2, (hi - lo) / 2
+        else:  # no float is left between the ends
+            return g
+
+
+def _multiplicity(w: list, g: float) -> int:
+    """How many roots p'(g) = Re sum_k w_k e^{ikg} has within _MERGE of g: the order of the
+    largest term of its Taylor series about g on that disk, which is the count by Rouche's
+    theorem whenever that term outweighs the rest."""
+    z = complex(math.cos(g), math.sin(g))
+    e = [c * z**k for k, c in enumerate(w, 1)]
+    sizes = [abs(sum((c * (1j * k * _MERGE) ** j).real for k, c in enumerate(e, 1)))
+             / math.factorial(j) for j in range(1, 2 * len(w) + 1)]
+    return 1 + sizes.index(max(sizes))
 
 
 def _stationary_points(samples: np.ndarray) -> list[float]:
-    """Ascending angles where the slope of a curve vanishes, from its `samples` at `_NODES`.
+    """Ascending angles in [0, pi/2] where the slope of a curve vanishes, from its `samples`
+    at `_NODES`; no LAPACK and no FFT, only Python floats after one `tolist`.
 
-    Every curve is a real trigonometric polynomial p(g) = sum_{|k| <= n} c_k z^k,
-    z = e^{ig}, n <= 4, so 16 samples give its c_k exactly and z^n p'(g) is a polynomial
-    of degree 2n whose roots on the unit circle, eigenvalues of its companion matrix, are
-    the stationary points (J. P. Boyd, J. Eng. Math. 56:203-219, 2006).  The roots of a
-    cluster are replaced by their centroid, every other one is polished by Newton steps.
+    Every curve is a real trigonometric polynomial of degree n <= 4, so a folded real DFT
+    of the 16 samples, divided by their largest magnitude, gives its harmonics X_k exactly
+    (an even curve's are real).  Those above the last one whose amplitude |X_k| / 8 exceeds
+    _TRIM are rounding.  The slope is p'(g) = Re sum_k w_k e^{ikg} / 8, w_k = ik X_k, and
+    (1 + t^2)^n p'(g), t = tan((g - pi/4)/2), is a polynomial of degree 2n in t, taken in the
+    Bernstein basis over the window [-_MERGE, pi/2 + _MERGE], so that roots at 0 and pi/2
+    lie inside it.  Descartes' rule of signs on its coefficients, with de Casteljau halving,
+    isolates the roots (G. E. Collins and A. G. Akritas, SYMSAC 1976): an interval with one
+    sign change holds one root, which safeguarded Newton steps on p' polish; one narrower than
+    _MERGE with more changes holds a cluster, taken at its middle.  Roots within _MERGE of the
+    one before are one cluster.  A cluster, or a root whose p'' is too small for Rouche's
+    theorem to show it alone within _MERGE, holds m roots by `_multiplicity`; m > 1 of them
+    are one multiple root split by rounding, the simple root of the (m-1)-th derivative of p'
+    (m is raised while that derivative keeps its sign across the cluster).  The sign changes
+    cannot give m: a halving cut inside a rounding-split triple root leaves one.  A point
+    outside [0, pi/2] is reported at the end it is within _MERGE of.
     """
-    c = np.fft.rfft(samples / np.abs(samples).max())[1:5]  # 16 c_k, k = 1..4
-    kept = np.flatnonzero(np.abs(c) > _TRIM * np.abs(c).max())
-    n = kept[-1] + 1 if kept.size else 0
+    s = samples.tolist()
+    top = max(map(abs, s)) or 1.0  # a zero curve stays zero
+    s = [v / top for v in s]
+    even = [p + q for p, q in zip(s[1:8], s[15:8:-1])]
+    odd = [p - q for p, q in zip(s[1:8], s[15:8:-1])]
+    w = []
+    for k, (cos, sin) in enumerate(_FOLD, 1):
+        re = s[0] + (-1) ** k * s[8] + sum(map(float.__mul__, even, cos))
+        w.append(k * complex(sum(map(float.__mul__, odd, sin)), re))  # ik (re - i im)
+    n = 4
+    while n and abs(w[n - 1]) <= 8 * n * _TRIM:
+        n -= 1
     if not n:
         return []
-    c, k = c[:n], np.arange(1, n + 1)
-    poly = np.zeros(2 * n + 1, dtype=complex)  # poly[j] multiplies z^(2n - j)
-    poly[n - k] = 1j * k * c
-    poly[n + k] = -1j * k * np.conj(c)
-    companion = np.eye(2 * n, k=-1, dtype=complex)  # as np.roots builds it, without its checks
-    companion[0] = -poly[1:] / poly[0]
-    roots = np.linalg.eigvals(companion).tolist()
-    angles = sorted(cmath.phase(z) for z in roots if abs(abs(z) - 1.0) < _CIRCLE)
-    starts = [i for i, (a, b) in enumerate(zip([-math.inf] + angles, angles)) if b - a > _MERGE]
+    w = w[:n]
+    slope = _terms(w, 0)
+    stack = [(0.0, 1.0, [sum(map(complex.__mul__, w, row)).real for row in _BERNSTEIN[n]])]
+    roots = []
+    while stack:
+        lo, hi, b = stack.pop()
+        count = _variations(b)
+        if count == 1:
+            rising = b[-1] > 0 if b[-1] else b[0] < 0
+            i = next(i for i, q in enumerate(b[1:]) if (q > 0) == rising)
+            d = b[i] - b[i + 1]  # Newton starts where the control polygon crosses 0
+            x = lo + (hi - lo) * (i + (b[i] / d if d else 0.0)) / (len(b) - 1)
+            roots.append(_polish(slope, _angle(lo), _angle(hi), rising, _angle(x)))
+        elif count and _angle(hi) - _angle(lo) < _MERGE:
+            roots.append(_angle((lo + hi) / 2))
+        elif count:
+            left, right = _halves(b)
+            stack += [(lo, (lo + hi) / 2, left), ((lo + hi) / 2, hi, right)]
+    clusters = []
+    for g in sorted(roots):
+        if clusters and g - clusters[-1][-1] < _MERGE:
+            clusters[-1].append(g)
+        else:
+            clusters.append([g])
+    tail = sum(abs(c) * (math.expm1(k * _MERGE) - k * _MERGE) for k, c in enumerate(w, 1))
     points = []
-    for cluster in (angles[i:j] for i, j in zip(starts, starts[1:] + [len(angles)])):
+    for cluster in clusters:
         g = sum(cluster) / len(cluster)
-        for _ in range(2 if len(cluster) == 1 else 0):  # Newton on p'(g) ~ sum k Im(c_k e^{ikg})
-            slope = curvature = 0.0
-            for m, cm in enumerate(c.tolist(), 1):
-                t = cm * cmath.exp(1j * (g * m))
-                slope += t.imag * m
-                curvature += t.real * m * m
-            g -= slope / curvature
-        points.append(g)
+        f, df = _value(slope, g)  # one root if |p''| _MERGE > |p'| + the Taylor tail beyond p''
+        m = _multiplicity(w, g) if len(cluster) > 1 or abs(df) * _MERGE <= abs(f) + tail else 1
+        while 1 < m <= 2 * n:
+            terms = _terms(w, m - 1)
+            lo, hi = g - _MERGE, g + _MERGE
+            rising = _value(terms, hi)[0] > 0
+            if (_value(terms, lo)[0] > 0) != rising:
+                g = _polish(terms, lo, hi, rising, g)
+                break
+            m += 1  # that derivative keeps its sign: the cluster holds one root more
+        if -_MERGE < g < GAMMA_MAX + _MERGE:
+            points.append(min(max(g, 0.0), GAMMA_MAX))
     return points
 
 

@@ -34,14 +34,14 @@ class ProbabilityRangeError(ArithmeticError):
 
 def _checked_probability(value):
     """`value` (a float or an array of them) if every entry is within the slack of [0, 1]."""
-    values = np.asarray(value)
-    outside = values[~((values >= -PROBABILITY_SLACK) & (values <= 1.0 + PROBABILITY_SLACK))]
-    if outside.size:
-        raise ProbabilityRangeError(
-            f"raw probability {float(outside.flat[0])!r} outside "
-            f"[-{PROBABILITY_SLACK}, 1 + {PROBABILITY_SLACK}]"
-        )
-    return value
+    values, lo, hi = np.asarray(value), -PROBABILITY_SLACK, 1.0 + PROBABILITY_SLACK
+    if values.min(initial=0.0) >= lo and values.max(initial=0.0) <= hi:
+        return value  # nan fails both comparisons; `initial` covers an empty array
+    outside = values[~((values >= lo) & (values <= hi))]
+    raise ProbabilityRangeError(
+        f"raw probability {float(outside.flat[0])!r} outside "
+        f"[-{PROBABILITY_SLACK}, 1 + {PROBABILITY_SLACK}]"
+    )
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,9 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
             for row, value in zip(c, coefficients):
                 row[...] = value
             c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
-            amplitudes = (a[:, :, None] * c).sum(axis=1)  # A c without a BLAS call
+            amplitudes = a[:, 0, None] * c[0]  # A c without a BLAS call or a 3-d product
+            for k in range(1, len(c)):
+                amplitudes += a[:, k, None] * c[k]
             squares = amplitudes.real**2 + amplitudes.imag**2
             total += weight * squares[:-1].sum(axis=0)
             overlaps += weight * squares[-1]

@@ -18,9 +18,10 @@ import math
 
 import numpy as np
 
-from .fock import DimensionMismatchError, FockState
+from .fock import PHOTON_BOUND, DimensionMismatchError, FockState
 
 UNITARITY_TOL = 1e-12
+_FACTORIALS = [math.factorial(n) for n in range(PHOTON_BOUND + 1)]
 
 
 class ModeUnitary:
@@ -95,26 +96,23 @@ def lift(u: ModeUnitary, state: FockState) -> FockState:
         raise DimensionMismatchError(
             f"unitary acts on {u.dimension} modes, state has {state.mode_count}"
         )
-    matrix = u.matrix
     modes = state.mode_count
     vacuum = (0,) * modes
+    columns = [[(j, u_ji) for j, u_ji in enumerate(column) if u_ji != 0]  # the nonzero U[j, i]
+               for column in u.matrix.T.tolist()]
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state._amps.items():
         # coefficient of the creation monomial for this ket
-        poly = {vacuum: amp / math.sqrt(math.prod(math.factorial(n) for n in occ))}
+        poly = {vacuum: amp / math.sqrt(math.prod(_FACTORIALS[n] for n in occ))}
         for mode, count in enumerate(occ):
-            column = [complex(matrix[j, mode]) for j in range(modes)]
             for _ in range(count):
                 grown: dict[tuple[int, ...], complex] = {}
                 for expo, coeff in poly.items():
-                    for j in range(modes):
-                        u_ji = column[j]
-                        if u_ji == 0:
-                            continue
+                    for j, u_ji in columns[mode]:
                         key = expo[:j] + (expo[j] + 1,) + expo[j + 1 :]
                         grown[key] = grown.get(key, 0j) + coeff * u_ji
                 poly = grown
         for expo, coeff in poly.items():
-            weight = coeff * math.sqrt(math.prod(math.factorial(n) for n in expo))
+            weight = coeff * math.sqrt(math.prod(_FACTORIALS[n] for n in expo))
             out[expo] = out.get(expo, 0j) + weight
     return FockState._raw(modes, out)

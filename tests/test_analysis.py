@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from test_cli import _seeded_sweep
+from test_cli import _python, _seeded_sweep
 from fockproj import (
     DetectorModel,
     ProjectorAngles,
@@ -20,7 +20,9 @@ from fockproj.analysis import (
     ExtremumKind,
     Verdict,
     _extrema,
+    _polish,
     _stationary_points,
+    _terms,
     _verdict,
     classify_monotonicity,
     closed_form,
@@ -435,6 +437,20 @@ def test_coincident_polarizers_give_one_minimum_at_their_zero(steps, d):
     assert abs(minima[0].gamma - (2.5 - math.pi / 2)) <= max(1e-10, d)
 
 
+@pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-5])
+def test_close_polarizers_anywhere_give_one_minimum_on_their_cluster(d):
+    # rounding spreads the two zeros and the peak between them over ~1e-5, and where the
+    # halving cuts fall in that spread varies with theta; every split must give one point,
+    # one of the three or the middle, where the cluster's third derivative vanishes
+    rng = random.Random(f"cluster:{d}")
+    for _ in range(100):
+        theta = rng.uniform(1.6, 3.1)
+        result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 101, theta1=theta, theta2=theta + d)
+        (minimum,) = [e for e in result.extrema if e.kind is ExtremumKind.MIN]
+        zero = theta - math.pi / 2
+        assert min(abs(minimum.gamma - x) for x in (zero, zero + d / 2, zero + d)) < 1e-12
+
+
 # two zeros 0.029 apart with a turn between them shallower than the tolerance
 HIDDEN_ZEROS = dict(theta1=1.9821824965123502, theta2=1.95331230531348, amplitude=0.6532518923717097)
 
@@ -467,6 +483,57 @@ def test_turns_of_rounding_noise_are_not_extrema():
 def test_a_flat_curve_has_no_stationary_points():
     # every harmonic is zero, so there is no slope polynomial to solve
     assert _stationary_points(np.ones(16)) == []
+
+
+def test_the_stationary_points_include_the_ends_where_the_slope_vanishes():
+    # hom2's curve is even about 0 and about pi/2; the window reaches past both ends
+    curve = projectors.scenario_curve(ScenarioId.HOM2, {})
+    start, end = _stationary_points(curve(_NODES)[0])
+    assert 0.0 <= start < 1e-15 and end == math.pi / 2
+
+
+def test_the_polish_ends_when_no_float_is_left_in_its_bracket():
+    # -sin g has no root in [1, 1 + ulp]: Newton leaves the bracket and halving cannot shrink it
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    assert _polish(_terms([1j], 0), lo, hi, False, lo) in (lo, hi)
+
+
+def test_a_harmonic_a_thousand_times_above_rounding_is_not_trimmed():
+    # samples of size 1 round at ~1e-16; a swing of 1e-13 is the curve, and its slope turns at 0.3
+    samples = 1.0 + 1e-13 * np.cos(2 * (_NODES - 0.3))
+    (turn,) = _stationary_points(samples)
+    assert abs(turn - 0.3) < 1e-3
+
+
+@pytest.mark.parametrize("steps", [3, 101, 1001])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_stationary_points_need_no_eigensolver_and_no_fft(monkeypatch, scenario, steps):
+    # their first use costs a process about 1.3 MB of peak RSS for LAPACK and 0.5 MB for numpy.fft
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK or numpy.fft was called")
+
+    for module, name in ((np.linalg, "eigvals"), (np.linalg, "eig"), (np.fft, "rfft")):
+        monkeypatch.setattr(module, name, refuse)
+    for seed in range(3):
+        result = _seeded_sweep(scenario, steps, seed)
+        curve = projectors.scenario_curve(scenario, result.params)
+        for g in _stationary_points(curve(_NODES)[0]):
+            assert 0.0 <= g <= math.pi / 2
+
+
+def test_a_process_that_sweeps_and_renders_every_scenario_never_imports_numpy_fft():
+    code = (
+        "import math, sys, numpy\n"
+        "eager = 'numpy.fft' in sys.modules  # an older numpy imports it with itself\n"
+        "from fockproj import ProjectorAngles, ScenarioId, analysis, cli\n"
+        "for scenario in ScenarioId:\n"
+        "    angles = ProjectorAngles(math.pi / 8, math.pi) if scenario.value.startswith('single') else None\n"
+        "    result = analysis.sweep(scenario, 101, angles)\n"
+        "    cli.render_csv(result), cli.render_json(result)\n"
+        "assert eager or 'numpy.fft' not in sys.modules, 'numpy.fft was imported'\n"
+    )
+    proc = _python("-c", code, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
