@@ -61,7 +61,7 @@ def main(argv=None) -> None:
                 marks = "-"
             print(f"{stem:<28} {result.verdict.value:<14} {marks}")
     except OSError as exc:  # the error names the directory or file it could not make
-        parser.exit(2, f"{parser.prog}: cannot write output: {exc}\n")
+        parser.exit(cli.EXIT_IO, f"{parser.prog}: cannot write output: {exc}\n")
     print(f"\nwrote {len(CONFIGS)} files to {outdir}/")
 
 

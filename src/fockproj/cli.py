@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse and validate argv into the namespace `run` takes, its `scenario` a `ScenarioId`;
-    exits with status 1 on any usage problem."""
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse and check argv into the namespace `run` takes, its `scenario` a `ScenarioId` and
+    its `params` the checked parameters, defaults filled in; exits 1 on any usage problem."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not 3 <= args.steps <= analysis.MAX_STEPS:
@@ -86,7 +86,7 @@ def parse_args(argv) -> argparse.Namespace:
     args.scenario = ScenarioId(args.scenario)
     given = {p.name: getattr(args, p.name) for p in models.PARAMETERS}
     try:
-        models.checked_params(args.scenario, given)
+        args.params = models.checked_params(args.scenario, given)
     except ValueError as exc:
         parser.error(f"--{exc}")
     return args
@@ -119,13 +119,13 @@ def _same_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
     """The reported cells, named as in JSON, and the footer values, with the
-    scenario parameters among them.  Probabilities are clamped to [0, 1] except
-    in the classical scenario, whose column is an intensity.  A closed-form cell
-    reuses its probability cell wherever `_same_cells` proves the two equal."""
+    scenario parameters among them.  Probabilities are clamped to [0, 1] except for
+    classical light, the one result with no overlap column, whose column is an intensity.
+    A closed-form cell reuses its probability cell wherever `_same_cells` proves the two equal."""
     gammas, raw, closed_forms, overlap = (
         None if c is None else np.asarray(c, float) for c in
         (result.gammas, result.probabilities, result.closed_forms, result.indistinguishability))
-    probabilities = raw.clip(0.0, 1.0) if result.scenario in models.QUANTUM_SCENARIOS else raw
+    probabilities = raw if overlap is None else raw.clip(0.0, 1.0)
     cells = list(map(_CELL.__mod__, probabilities.tolist()))
     closed = cells.copy()
     for i in np.flatnonzero(~_same_cells(probabilities, closed_forms)).tolist():
@@ -167,16 +167,17 @@ def render_json(result: analysis.SweepResult) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    """Replace the file at `path` atomically: write a temp file beside it, then
-    `os.replace` it over `path`; on failure the temp file is removed.  A device
-    or pipe that `path` names is written in place, as it cannot be replaced, and
-    so is a path that ends in a separator, which the OS refuses as a directory."""
+    """Replace the file at `path` atomically: write a temp file beside it, under a random
+    name and with the permissions of the file it replaces, then `os.replace` it over `path`;
+    on failure the temp file is removed.  A device or pipe that `path` names is written in
+    place, as it cannot be replaced, and so is a path that ends in a separator, which the OS
+    refuses as a directory."""
     if path.endswith(os.sep) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
     target = os.path.realpath(path)  # through a symlink, so the link keeps pointing at the table
-    tmp = f"{target}.{os.getpid()}.tmp"
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"  # not a pid, which a killed run's leftover holds
     try:
         handle = open(tmp, "x", encoding="utf-8")  # a failure here leaves nothing behind
     except OSError as exc:  # named as asked here and below: the temp file is not the user's
@@ -185,6 +186,8 @@ def _write(path: str, text: str) -> None:
         with handle:
             handle.write(text)
         try:
+            if os.path.exists(target):  # a replaced table keeps its permissions
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
             os.replace(tmp, target)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
@@ -194,21 +197,14 @@ def _write(path: str, text: str) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Sweep the namespace of `parse_args` or `build_parser` and write the table; returns the
-    exit status.  Parameters are checked first, so a lone angle names its missing partner."""
-    scenario = ScenarioId(args.scenario)
-    given = {p.name: getattr(args, p.name) for p in models.PARAMETERS}
-    params = models.checked_params(scenario, given)
+    """Sweep the namespace that `parse_args` returns, write the table, return the exit status."""
+    params = dict(args.params)
     angles = ProjectorAngles(params.pop("beta"), params.pop("theta")) if "beta" in params else None
     detectors = DetectorModel(params.pop("eta")) if "eta" in params else None
     try:
-        result = analysis.sweep(scenario, args.steps, angles, detectors, **params)
-    except ProbabilityRangeError as exc:
-        print(f"fockproj: invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    try:
+        result = analysis.sweep(args.scenario, args.steps, angles, detectors, **params)
         text = render_csv(result) if args.format == "csv" else render_json(result)
-    except ValueError as exc:  # JSON refuses a non-finite number
+    except (ProbabilityRangeError, ValueError) as exc:  # also JSON's refusal of a non-finite number
         print(f"fockproj: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     try:
@@ -225,7 +221,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    return run(parse_args(argv if argv is not None else sys.argv[1:]))
+    return run(parse_args(argv))
 
 
 if __name__ == "__main__":  # `python -m fockproj.cli` would run a second copy of this module

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from fockproj import DetectorModel, ProjectorAngles, analysis, cli, models
 from fockproj.models import ScenarioId
+from fockproj.projectors import ProbabilityRangeError
 
 
 def _run_capture(argv, capsys):
@@ -32,6 +33,13 @@ def test_parse_minimal_config():
     assert config.scenario is ScenarioId.HOM4_COINCIDENCE
     assert config.steps == 101
     assert config.format == "csv"
+    assert config.params == {}
+
+
+def test_parse_fills_in_the_checked_defaults():
+    config = cli.parse_args(["--scenario", "classical-polarization", "--theta2", "0.5"])
+    assert config.params == {"theta1": 0.0, "theta2": 0.5, "amplitude": 2.0}
+    assert cli.parse_args(["--scenario", "hofmann-cascade"]).params == {"eta": 1.0}
 
 
 def test_parse_angle_values():
@@ -40,6 +48,7 @@ def test_parse_angle_values():
     )
     assert abs(config.beta - math.pi / 8) < 1e-3
     assert abs(config.theta - math.pi) < 1e-3
+    assert config.params == {"beta": 0.3927, "theta": 3.1416}
 
 
 def test_missing_beta_is_usage_error(capsys):
@@ -93,10 +102,13 @@ def test_too_many_steps_is_usage_error(capsys):
         (ScenarioId.HOM2, {"beta": 0.3}, "beta is not used"),
     ],
 )
-def test_lone_projector_angle_is_named_by_run(scenario, angle, message):
+def test_lone_projector_angle_is_named_by_parse_args(scenario, angle, message, capsys):
     argv = ["--scenario", scenario.value] + [f"--{name}={value}" for name, value in angle.items()]
-    with pytest.raises(ValueError, match=f"^{message}"):
-        cli.run(cli.build_parser().parse_args(argv))
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"--{message}" in err
 
 
 def test_hom2_csv_output(capsys):
@@ -201,6 +213,32 @@ def test_failed_replace_keeps_the_old_output_and_no_temp_file(tmp_path, monkeypa
     monkeypatch.undo()
     assert _run_capture(argv, capsys)[0] == cli.EXIT_OK
     assert target.read_text().startswith("gamma,probability")
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_a_killed_runs_temp_file_does_not_block_a_later_write(tmp_path, capsys):
+    # a run killed before its replace leaves its temp file; a later run under the same pid
+    # writes anyway, and leaves the leftover, which is not its own, as it was
+    target = tmp_path / "sweep.csv"
+    stale = tmp_path / f"sweep.csv.{os.getpid()}.tmp"
+    stale.write_text("partial table\n")
+    code, out, err = _run_capture(["--scenario", "hom2", "--steps", "3", "--output", str(target)],
+                                  capsys)
+    assert (code, out, err) == (cli.EXIT_OK, "", "")
+    assert target.read_text().startswith("gamma,probability")
+    assert stale.read_text() == "partial table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", stale.name]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o604], ids=oct)
+def test_a_replaced_table_keeps_its_permissions(mode, tmp_path, capsys):
+    target = tmp_path / "sweep.csv"
+    target.write_text("old table\n")
+    target.chmod(mode)
+    code = _run_capture(["--scenario", "hom2", "--steps", "3", "--output", str(target)], capsys)[0]
+    assert code == cli.EXIT_OK
+    assert target.read_text().startswith("gamma,probability")
+    assert stat.S_IMODE(target.stat().st_mode) == mode
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
@@ -340,16 +378,17 @@ def test_every_json_number_is_the_float_of_its_csv_cell(scenario):
     ]
 
 
-def test_invariant_violation_exits_with_code_3(monkeypatch, capsys):
-    from fockproj.projectors import ProbabilityRangeError
-
+@pytest.mark.parametrize("error", [ProbabilityRangeError, ValueError])
+def test_invariant_violation_exits_with_code_3(error, monkeypatch, capsys):
+    # a checked request that the library still refuses is an invariant violation, not a traceback
     def explode(*args, **kwargs):
-        raise ProbabilityRangeError("raw probability 1.5 outside the slack")
+        raise error("raw probability 1.5 outside the slack")
 
     monkeypatch.setattr(cli.analysis, "sweep", explode)
-    code, _, err = _run_capture(["--scenario", "hom2"], capsys)
+    code, out, err = _run_capture(["--scenario", "hom2"], capsys)
     assert code == cli.EXIT_INVARIANT
-    assert "invariant violation" in err
+    assert out == ""
+    assert err == "fockproj: invariant violation: raw probability 1.5 outside the slack\n"
 
 
 def test_probabilities_emitted_within_unit_interval(capsys):
@@ -385,10 +424,12 @@ def test_bad_or_unused_flags_are_rejected_by_cli_and_library(scenario, flags, ca
     assert exc.value.code == cli.EXIT_USAGE
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("fockproj: error: --")
-    # the same values handed to the library are refused too
-    config = cli.build_parser().parse_args(argv)
+    # the same values handed to the library, mapped as a seeded sweep maps them, are refused too
+    p = {name: float(value) for name, value in flags.items()}
     with pytest.raises(ValueError):
-        cli.run(config)
+        angles = ProjectorAngles(p.pop("beta"), p.pop("theta")) if "beta" in p else None
+        detectors = DetectorModel(p.pop("eta")) if "eta" in p else None
+        analysis.sweep(ScenarioId(scenario), analysis.DEFAULT_STEPS, angles, detectors, **p)
 
 
 @pytest.mark.parametrize(

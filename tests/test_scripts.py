@@ -1,4 +1,5 @@
 import runpy
+import stat
 from pathlib import Path
 
 import pytest
@@ -75,15 +76,17 @@ def test_run_all_scenarios_writes_every_configuration(steps, tmp_path, capsys):
 
 
 def test_run_all_scenarios_replaces_its_tables_atomically(tmp_path, monkeypatch, capsys):
-    # the tables go through the CLI's writer: a rerun replaces them and leaves no temp file,
-    # and a failed replace keeps the earlier table whole
+    # the tables go through the CLI's writer: a rerun replaces them, keeps their permissions
+    # and leaves no temp file, and a failed replace keeps the earlier table whole
     script = runpy.run_path(str(SCRIPTS / "run_all_scenarios.py"))
     main, cli = script["main"], script["cli"]
     argv = ["--steps", "3", "--outdir", str(tmp_path)]
     main(argv)
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    (tmp_path / "hom2.csv").chmod(0o600)
     main(argv)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+    assert stat.S_IMODE((tmp_path / "hom2.csv").stat().st_mode) == 0o600
     assert len(first) == 10 and not list(tmp_path.glob("*.tmp"))
 
     def refuse(src, dst):
