@@ -111,29 +111,26 @@ def probability_function(
     return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0][0])
 
 
-def _steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and sign of every first difference of `values` outside +-MONOTONICITY_TOL."""
+def _scan(values: np.ndarray) -> tuple[Verdict, list]:
+    """Verdict on sampled `values` and its turns (j, k, rising): steps j < k outside
+    +-MONOTONICITY_TOL with opposite signs and only flat steps between, rising if step j is."""
     if values.size < 3:
         raise ValueError("need at least 3 samples to classify monotonicity")
     if not np.isfinite(values).all():
         raise ValueError("cannot classify a curve with a sample that is not finite")
     diffs = np.diff(values)
     index = np.flatnonzero(np.abs(diffs) > MONOTONICITY_TOL)
-    return index, np.sign(diffs[index])
-
-
-def _verdict(signs: np.ndarray) -> Verdict:
-    if not signs.size:
-        return Verdict.CONSTANT
-    if signs.min() != signs.max():
-        return Verdict.NON_MONOTONIC
-    return Verdict.NON_DECREASING if signs[0] > 0 else Verdict.NON_INCREASING
+    up = diffs[index] > 0
+    at = np.flatnonzero(up[1:] != up[:-1])
+    turns = list(zip(index[at].tolist(), index[at + 1].tolist(), up[at].tolist()))
+    return (Verdict.NON_MONOTONIC if turns else Verdict.CONSTANT if not index.size
+            else Verdict.NON_DECREASING if up[0] else Verdict.NON_INCREASING), turns
 
 
 def classify_monotonicity(values: Sequence[float]) -> Verdict:
     """Verdict on a sampled curve: steps within +-MONOTONICITY_TOL count as flat; a non-finite
     sample raises."""
-    return _verdict(_steps(np.fromiter(values, dtype=float))[1])
+    return _scan(np.fromiter(values, dtype=float))[0]
 
 
 _NODES = np.arange(16) * (math.pi / 8)  # one period, twice the rate a degree-4 curve needs
@@ -323,23 +320,20 @@ def _stationary_points(samples: np.ndarray) -> list[float]:
     return points
 
 
-def _extrema(curve, nodes, gammas, index: np.ndarray, signs: np.ndarray) -> tuple[Extremum, ...]:
-    """Two consecutive steps outside the tolerance with opposite signs, j < k, bracket an
-    extremum on [gammas[j], gammas[k + 1]]; of the stationary points strictly inside, the one
-    with the most extreme value is reported.  Endpoints are never reported."""
-    turns = np.flatnonzero(signs[1:] == -signs[:-1])
-    if not turns.size:
+def _extrema(curve, nodes, gammas, turns: list) -> tuple[Extremum, ...]:
+    """Per turn (j, k, rising), the most extreme stationary point strictly inside
+    [gammas[j], gammas[k + 1]], the lower gamma on a tie; endpoints are never reported."""
+    if not turns:
         return ()
     x = _stationary_points(nodes)
     values = curve(np.array(x))[0].tolist()
     found = []
-    for t in turns.tolist():
-        rising = float(signs[t])
-        lo, hi = gammas[index[t]], gammas[index[t + 1] + 1]
+    for j, k, rising in turns:
+        lo, hi = gammas[j], gammas[k + 1]
         inside = [i for i, g in enumerate(x) if lo < g < hi]
         if inside:  # else the sampled turn is rounding: the curve has none there
-            best = max(inside, key=lambda i: rising * values[i])  # the first, lower gamma, on a tie
-            kind = ExtremumKind.MAX if rising > 0 else ExtremumKind.MIN
+            best = max(inside, key=lambda i: values[i] if rising else -values[i])
+            kind = ExtremumKind.MAX if rising else ExtremumKind.MIN
             found.append(Extremum(x[best], values[best], kind))
     return tuple(found)
 
@@ -372,14 +366,14 @@ def sweep(
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):
         column.flags.writeable = False  # and so every view of it, which cannot be made writeable again
-    index, signs = _steps(values[:steps])
+    verdict, turns = _scan(values[:steps])
     return SweepResult(
         scenario=scenario,
         gammas=grid[:],
         probabilities=values[:steps],
         closed_forms=closed[:],
         indistinguishability=None if overlap is None else overlap[:steps],
-        verdict=_verdict(signs),
-        extrema=_extrema(curve, values[steps:], grid, index, signs),
+        verdict=verdict,
+        extrema=_extrema(curve, values[steps:], grid, turns),
         params=params,
     )

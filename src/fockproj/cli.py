@@ -178,16 +178,18 @@ def _write(path: str, text: str) -> None:
         return
     target = os.path.realpath(path)  # through a symlink, so the link keeps pointing at the table
     tmp = f"{target}.{os.urandom(8).hex()}.tmp"  # not a pid, which a killed run's leftover holds
-    try:
-        handle = open(tmp, "x", encoding="utf-8")  # a failure here leaves nothing behind
+    replaced = os.path.exists(target)  # a replaced table keeps its permissions
+    try:  # which its temp file never exceeds; a failure here leaves nothing behind
+        mode = os.stat(target).st_mode & 0o7777 if replaced else 0o666
+        handle = open(tmp, "x", encoding="utf-8", opener=lambda p, f: os.open(p, f, mode))
     except OSError as exc:  # named as asked here and below: the temp file is not the user's
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             handle.write(text)
         try:
-            if os.path.exists(target):  # a replaced table keeps its permissions
-                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            if replaced:  # the bits the umask dropped
+                os.chmod(tmp, mode)
             os.replace(tmp, target)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None

@@ -166,12 +166,12 @@ def _polarization_closed(g, p):
     return (4.0 / 3.0) * np.sin(math.pi / 4 + g / 2) ** 2 * np.cos(g / 2) ** 2
 
 
-def _intensity(g, theta1: float, theta2: float, amplitude: float):
+def _intensity(g, p):
     # cos(g - theta) expanded, so that a far polarizer angle does not round g away
     c, s = np.cos(g), np.sin(g)
-    field1 = c * math.cos(theta1) + s * math.sin(theta1)
-    field2 = c * math.cos(theta2) + s * math.sin(theta2)
-    return (amplitude / 2.0) ** 4 * field1 ** 2 * field2 ** 2
+    field1 = c * math.cos(p["theta1"]) + s * math.sin(p["theta1"])
+    field2 = c * math.cos(p["theta2"]) + s * math.sin(p["theta2"])
+    return (p["amplitude"] / 2.0) ** 4 * field1 ** 2 * field2 ** 2
 
 
 def classical_intensity(
@@ -185,7 +185,7 @@ def classical_intensity(
     is not range-guarded.
     """
     t1, t2, amplitude = THETA1.check(theta1), THETA2.check(theta2), AMPLITUDE.check(field_amplitude)
-    return float(_intensity(check_gamma(gamma), t1, t2, amplitude))
+    return float(_intensity(check_gamma(gamma), dict(theta1=t1, theta2=t2, amplitude=amplitude)))
 
 
 class ScenarioSpec(NamedTuple):
@@ -261,10 +261,7 @@ SCENARIOS = {
         _POLARIZATION_BASIS, _polarization_coefficients,
         outcomes=lambda p: [_CASCADE_OUTCOME], gain=lambda p: p["eta"] ** 2,
     ),
-    ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec(
-        (THETA1, THETA2, AMPLITUDE),
-        lambda g, p: _intensity(g, p["theta1"], p["theta2"], p["amplitude"]),
-    ),
+    ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec((THETA1, THETA2, AMPLITUDE), _intensity),
 }
 
 #: scenarios backed by a Fock state or ensemble (everything but classical light)

@@ -21,9 +21,9 @@ from fockproj.analysis import (
     Verdict,
     _extrema,
     _polish,
+    _scan,
     _stationary_points,
     _terms,
-    _verdict,
     classify_monotonicity,
     closed_form,
     find_extrema,
@@ -176,7 +176,7 @@ def test_classify_monotonicity_verdicts():
     ],
 )
 def test_verdict_of_step_signs(signs, verdict):
-    assert _verdict(np.array(signs, dtype=float)) is verdict
+    assert _scan(np.cumsum([0.0, 0.0, 0.0] + signs))[0] is verdict
 
 
 def test_classify_monotonicity_tolerance_absorbs_noise():
@@ -476,8 +476,11 @@ def test_turns_of_rounding_noise_are_not_extrema():
     assert len(_brackets(result, tol=0.0)) > 10
     diffs = np.diff(result.probabilities)
     index = np.flatnonzero(diffs)
+    turns = [(j, k, bool(diffs[j] > 0)) for j, k in zip(index, index[1:])
+             if (diffs[j] > 0) != (diffs[k] > 0)]
+    assert turns
     curve = projectors.scenario_curve(result.scenario, result.params)
-    assert _extrema(curve, curve(_NODES)[0], result.gammas, index, np.sign(diffs[index])) == ()
+    assert _extrema(curve, curve(_NODES)[0], result.gammas, turns) == ()
 
 
 def test_a_flat_curve_has_no_stationary_points():

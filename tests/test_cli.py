@@ -231,12 +231,20 @@ def test_a_killed_runs_temp_file_does_not_block_a_later_write(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604], ids=oct)
-def test_a_replaced_table_keeps_its_permissions(mode, tmp_path, capsys):
+def test_a_replaced_table_keeps_its_permissions(mode, tmp_path, monkeypatch, capsys):
     target = tmp_path / "sweep.csv"
     target.write_text("old table\n")
     target.chmod(mode)
+    seen, chmod = [], os.chmod  # the temp file's mode while it holds the table, before the chmod
+
+    def spy(name, *args, **kwargs):
+        seen.append(stat.S_IMODE(os.stat(name).st_mode))
+        return chmod(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "chmod", spy)
     code = _run_capture(["--scenario", "hom2", "--steps", "3", "--output", str(target)], capsys)[0]
     assert code == cli.EXIT_OK
+    assert seen and not any(m & ~mode for m in seen)
     assert target.read_text().startswith("gamma,probability")
     assert stat.S_IMODE(target.stat().st_mode) == mode
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]

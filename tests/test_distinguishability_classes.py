@@ -8,16 +8,23 @@ the curve is sum_k P_k |c_k(g)|^2 with the class probabilities P_k = sum_o |A_ok
 No term couples two classes.  In u = sin^2 g, which rises on [0, pi/2], that sum is
 a quadratic Bernstein polynomial with control points P_0, P_1, P_2, whose turns
 follow from the three numbers alone (Shchesnovich, Phys. Rev. A 91, 013844, 2015).
+
+A single-photon curve has one class, and its Gram matrix M = gain A^H A is not
+diagonal: the curve is a population part (M's diagonal) plus an interference
+part (its off-diagonal).  Each part is monotone in g, so a curve turns only
+where the two move in opposite directions; with phase noise the population part
+is constant, and the curve cannot turn.
 """
 
 import math
+import random
 
 import _oracles
 import numpy as np
 import pytest
 
-from fockproj import analysis, models, transforms
-from fockproj.analysis import ExtremumKind, Verdict
+from fockproj import ProjectorAngles, analysis, models, transforms
+from fockproj.analysis import ExtremumKind, Verdict, classify_monotonicity
 from fockproj.fock import basis_ket, inner_product
 from fockproj.models import ScenarioId
 
@@ -100,3 +107,52 @@ def test_the_four_photon_dip_is_the_bernstein_minimum():
     assert abs(dip.gamma - math.asin(math.sqrt(u))) <= 1e-12
     assert abs(dip.gamma - math.acos(math.sqrt(2 / 3))) <= 1e-12
     assert abs(dip.value - value) <= 1e-12
+
+
+SINGLE = (ScenarioId.SINGLE_DELIBERATE, ScenarioId.SINGLE_LOSS, ScenarioId.SINGLE_PHASE_NOISE)
+
+
+def _single_photon_parts(scenario, params, grid):
+    """The population part (M's diagonal) and the interference part (its off-diagonal) of
+    the curve on `grid`, each summed over the mixture members."""
+    spec = models.SCENARIOS[scenario]
+    a = np.array([[inner_product(o, basis_ket(b)) for b in spec.basis]
+                  for o in spec.outcomes(params)])
+    gram = spec.gain(params) * a.conj().T @ a
+    diagonal = np.eye(len(gram), dtype=bool)
+    population = interference = 0.0
+    for weight, coefficients in zip(spec.weights, spec.coefficients(grid)):
+        c = np.array(np.broadcast_arrays(grid, *coefficients)[1:])  # one row per basis ket
+        terms = np.einsum("kg,kl,lg->klg", c.conj(), gram, c).real
+        population = population + weight * terms[diagonal].sum(axis=0)
+        interference = interference + weight * terms[~diagonal].sum(axis=0)
+    return population, interference
+
+
+def _angles(rng):
+    """A seeded (beta, theta) with |cos 2beta| and |sin 2beta cos theta| at least 1e-2, so
+    that neither part of a single-photon curve is within rounding of flat."""
+    while True:
+        beta, theta = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2 * math.pi)
+        if min(abs(math.cos(2 * beta)), abs(math.sin(2 * beta) * math.cos(theta))) >= 1e-2:
+            return ProjectorAngles(beta, theta)
+
+
+@pytest.mark.parametrize("scenario", SINGLE)
+def test_a_single_photon_curve_turns_only_where_its_two_monotone_parts_compete(scenario):
+    # deliberate: (1 - cos2b sin g)/2 + sin2b cos t cos g/2; loss: (cos^2 b cos^2 g + sin^2 b)/2
+    # plus the same interference part; phase noise: a constant population part
+    rng = random.Random(f"classes:{scenario.value}")
+    turning = 0
+    for _ in range(300):
+        result = analysis.sweep(scenario, 1001, _angles(rng))
+        population, interference = _single_photon_parts(scenario, result.params, result.gammas)
+        assert np.abs(population + interference - result.closed_forms).max() <= 1e-14
+        verdicts = classify_monotonicity(population), classify_monotonicity(interference)
+        assert Verdict.NON_MONOTONIC not in verdicts
+        if scenario is ScenarioId.SINGLE_PHASE_NOISE:
+            assert verdicts[0] is Verdict.CONSTANT
+        if result.verdict is Verdict.NON_MONOTONIC:  # the converse fails for some loss draws
+            turning += 1
+            assert set(verdicts) == {Verdict.NON_DECREASING, Verdict.NON_INCREASING}
+    assert (turning > 0) == (scenario is not ScenarioId.SINGLE_PHASE_NOISE)
