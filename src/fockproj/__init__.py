@@ -2,6 +2,18 @@
 distinguishable photons in small linear-optical setups, with monotonicity
 analysis of every probability-vs-distinguishability curve."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    # fockproj calls no BLAS routine, so its first import of numpy starts no OpenBLAS worker
+    # thread; the variable is read once, as the library loads, and then taken out again
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .analysis import (
     Extremum,
     ExtremumKind,

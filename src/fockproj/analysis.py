@@ -118,10 +118,10 @@ def _scan(values: np.ndarray) -> tuple[Verdict, list]:
         raise ValueError("need at least 3 samples to classify monotonicity")
     if not np.isfinite(values).all():
         raise ValueError("cannot classify a curve with a sample that is not finite")
-    diffs = np.diff(values)
-    index = np.flatnonzero(np.abs(diffs) > MONOTONICITY_TOL)
+    diffs = values[1:] - values[:-1]
+    index = (np.abs(diffs) > MONOTONICITY_TOL).nonzero()[0]
     up = diffs[index] > 0
-    at = np.flatnonzero(up[1:] != up[:-1])
+    at = (up[1:] != up[:-1]).nonzero()[0]
     turns = list(zip(index[at].tolist(), index[at + 1].tolist(), up[at].tolist()))
     return (Verdict.NON_MONOTONIC if turns else Verdict.CONSTANT if not index.size
             else Verdict.NON_DECREASING if up[0] else Verdict.NON_INCREASING), turns

@@ -109,8 +109,9 @@ def _same_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as their error is about 4e-4.  A wrong decade fails the range tests; unequal zeros,
     subnormals and infinities, and every nan, fail a comparison."""
     with np.errstate(all="ignore"):
-        scale = 10.0 ** (11 - np.floor(np.log10(np.abs(a))))
-        ya, yb = np.abs(a) * scale, np.abs(b) * scale
+        size = np.abs(a)
+        scale = 10.0 ** (11 - np.floor(np.log10(size)))
+        ya, yb = size * scale, np.abs(b) * scale
         r = np.rint(ya)
         return (np.signbit(a) == np.signbit(b)) & (
             (a == b) | ((ya >= 1e11) & (yb >= 1e11) & (r < 1e12)
@@ -128,8 +129,9 @@ def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
     probabilities = raw if overlap is None else raw.clip(0.0, 1.0)
     cells = list(map(_CELL.__mod__, probabilities.tolist()))
     closed = cells.copy()
-    for i in np.flatnonzero(~_same_cells(probabilities, closed_forms)).tolist():
-        closed[i] = _CELL % closed_forms[i]
+    if closed_forms.tobytes() != probabilities.tobytes():  # equal bytes (classical): all shared
+        for i in (~_same_cells(probabilities, closed_forms)).nonzero()[0].tolist():
+            closed[i] = _CELL % closed_forms[i]
     columns = dict(zip(_COLUMNS, (_cells(gammas.tobytes()), cells, closed,
                                   None if overlap is None else _cells(overlap.tobytes()))))
     footer = dict(result.params, scenario=result.scenario.value, verdict=result.verdict.value,

@@ -14,7 +14,8 @@ finite.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Union
 
 PHOTON_BOUND = 8
 NORMALIZATION_TOL = 1e-12

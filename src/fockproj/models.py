@@ -113,10 +113,15 @@ _CASCADE_OUTCOME = FockState(2, {
 _DELAY = transforms.beamsplitter_5050(0, 1, 4) @ transforms.beamsplitter_5050(2, 3, 4)
 
 
+# kets that no parameter sets, built once: the two states the unobserved ancilla of a
+# one-photon loss state can hold (0 or 1 photons), and the two-photon projector xi
+_ANCILLA = (basis_ket((0,)), basis_ket((1,)))
+_XI = two_photon_xi()
+
+
 def _loss_outcomes(p: dict) -> list[FockState]:
-    # the unobserved ancilla of a one-photon state holds 0 or 1 photons
     xi = single_photon_ket(p["beta"], p["theta"])
-    return [tensor(xi, basis_ket((k,))) for k in (0, 1)]
+    return [tensor(xi, ancilla) for ancilla in _ANCILLA]
 
 
 def _pair_coincidence_closed(g, p):
@@ -159,7 +164,7 @@ def _polarization_coefficients(g):
 
 
 def _phase_member(phi):
-    return (_R2, _R2 * np.exp(1j * phi))
+    return (np.full_like(phi, _R2), _R2 * np.exp(1j * phi))
 
 
 def _polarization_closed(g, p):
@@ -192,7 +197,8 @@ class ScenarioSpec(NamedTuple):
     """One scenario: input state, transform, measurement, closed form, parameters.
 
     `coefficients` maps gamma (a float or an array) to one coefficient
-    vector over `basis` per mixture member, weighted by `weights`; the
+    vector over `basis` per mixture member, weighted by `weights`, each
+    coefficient of gamma's shape, so that a vector stacks into one array; the
     basis kets fix the mode count.  `transform` is the matrix U (None: the
     identity, so nothing is lifted).  The outcome kets are the `events` as
     basis kets, or else `outcomes(params)`, and `gain(params)` scales the
@@ -237,12 +243,13 @@ SCENARIOS = {
     ),
     ScenarioId.SINGLE_DELIBERATE: ScenarioSpec(
         (BETA, THETA), _deliberate_closed,
-        ((1, 0), (0, 1)), lambda g: [(np.cos(g / 2 + math.pi / 4), np.sin(g / 2 + math.pi / 4))],
+        ((1, 0), (0, 1)), lambda g: [(np.cos(t := g / 2 + math.pi / 4), np.sin(t))],
         outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
     ),
     ScenarioId.SINGLE_LOSS: ScenarioSpec(
         (BETA, THETA), _loss_closed,
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), lambda g: [(_R2 * np.cos(g), _R2, _R2 * np.sin(g))],
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        lambda g: [(_R2 * np.cos(g), np.full_like(g, _R2), _R2 * np.sin(g))],
         outcomes=_loss_outcomes,
     ),
     ScenarioId.SINGLE_PHASE_NOISE: ScenarioSpec(
@@ -253,7 +260,7 @@ SCENARIOS = {
     ),
     ScenarioId.TWO_PHOTON_POLARIZATION: ScenarioSpec(
         (), _polarization_closed, _POLARIZATION_BASIS, _polarization_coefficients,
-        outcomes=lambda p: [two_photon_xi()],
+        outcomes=lambda p: [_XI],
     ),
     ScenarioId.HOFMANN_CASCADE: ScenarioSpec(
         (ETA,),
@@ -276,8 +283,9 @@ def checked_params(scenario: ScenarioId, given: Mapping[str, Optional[float]]) -
     value that is not finite or out of range.
     """
     schema = SCENARIOS[scenario].params
+    names = {p.name for p in schema}
     for name, value in given.items():
-        if value is not None and name not in {p.name for p in schema}:
+        if value is not None and name not in names:
             raise ValueError(f"{name} is not used by scenario {scenario.value}")
     params = {}
     for p in schema:

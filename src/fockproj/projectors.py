@@ -194,37 +194,46 @@ def hofmann_cascade(state: FockState, detectors: DetectorModel) -> float:
     return _checked_probability(raw)
 
 
+# the constant kets of each quantum scenario, built and checked once: its basis kets, its
+# event kets, and the overlap row conj(c_k(0)), every c_k(0) 0 or far above PRUNE_TOL
+_KETS = {
+    scenario: ([basis_ket(b) for b in spec.basis], [basis_ket(e) for e in spec.events],
+               [complex(c).conjugate() for c in spec.coefficients(0.0)[0]])  # members coincide
+    for scenario, spec in models.SCENARIOS.items() if spec.coefficients is not None
+}
+
+
 def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
     """A scenario's measured curve on an array of angles, for checked `params`, returning
     (values, overlap).  A quantum curve is the range-guarded quadratic form
     gain * sum_w w sum_o |<o|U psi_w(g)>|^2 with its overlap sum_w w |<psi(0)|psi_w(g)>|^2;
-    A[o, k] = <o|U b_k> is built once, here, with a last row conj(c_k(0)); every c_k(0) is 0 or
-    far above PRUNE_TOL, so that row needs no pruning.  Classical light has no state: its values
-    are its closed form, its overlap None."""
+    A[o, k] = <o|U b_k> is built here, from the constant kets in `_KETS`, the `lift` of its
+    basis and the outcome kets that `params` set, with a last row, the overlap row.  Classical
+    light has no state: its values are its closed form, its overlap None."""
     spec = models.SCENARIOS[scenario]
     if spec.coefficients is None:
         return lambda gammas: (spec.closed_form(gammas, params), None)
-    kets = [basis_ket(b) for b in spec.basis]
+    kets, events, overlap_row = _KETS[scenario]
     if spec.transform is not None:
         kets = [transforms.lift(spec.transform, k) for k in kets]
-    outcomes = [basis_ket(e) for e in spec.events] or spec.outcomes(params)
-    overlap_row = [complex(c).conjugate() for c in spec.coefficients(0.0)[0]]  # members coincide
+    outcomes = events or spec.outcomes(params)
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
     gain = spec.gain(params)
 
     def curve(gammas: np.ndarray):
-        total, overlaps = np.zeros(np.shape(gammas)), np.zeros(np.shape(gammas))
+        total = overlaps = None
         for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
-            c = np.empty((len(coefficients),) + np.shape(gammas), np.result_type(*coefficients))
-            for row, value in zip(c, coefficients):
-                row[...] = value
+            c = np.array(coefficients)
             c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
             amplitudes = a[:, 0, None] * c[0]  # A c without a BLAS call or a 3-d product
             for k in range(1, len(c)):
                 amplitudes += a[:, k, None] * c[k]
             squares = amplitudes.real**2 + amplitudes.imag**2
-            total += weight * squares[:-1].sum(axis=0)
-            overlaps += weight * squares[-1]
+            member, overlap = weight * squares[:-1].sum(axis=0), weight * squares[-1]
+            if total is None:
+                total, overlaps = member, overlap
+            else:
+                total, overlaps = total + member, overlaps + overlap
         return _checked_probability(gain * total), _checked_probability(overlaps)
 
     return curve

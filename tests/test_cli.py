@@ -327,6 +327,27 @@ def _python(*argv, **kwargs):
                           env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_importing_fockproj_starts_no_blas_thread(preset):
+    # fockproj calls no BLAS routine, so its import of numpy leaves OpenBLAS without a worker
+    # thread; a value the caller set is kept, and the environment is left as it was found
+    code = ("import os; before = dict(os.environ); import fockproj; "
+            "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before, "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True, timeout=60,
+                          capture_output=True, check=True)
+    threads, unchanged, value = proc.stdout.split()
+    assert unchanged == "True" and value == str(preset)
+    if preset is None:
+        assert threads == "1"
+
+
 def test_running_the_cli_module_is_refused():
     # `python -m fockproj.cli` would load a second copy of the module; it sweeps nothing
     proc = _python("-m", "fockproj.cli", "--scenario", "hom2", "--steps", "3", capture_output=True)

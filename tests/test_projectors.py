@@ -262,6 +262,30 @@ def test_the_prune_drops_the_rounding_of_cos_half_pi_and_keeps_1e_12():
     assert overlap[1] == 0.0
 
 
+# the projector |xi(beta, theta)> of a single-photon scenario, and for loss its two products
+# with the ancilla kets; every basis, event and other outcome ket is built once, at import
+_KETS_A_SWEEP_BUILDS = {ScenarioId.SINGLE_DELIBERATE: 1, ScenarioId.SINGLE_PHASE_NOISE: 1,
+                        ScenarioId.SINGLE_LOSS: 3}
+
+
+@pytest.mark.parametrize("scenario", models.QUANTUM_SCENARIOS)
+def test_a_sweep_builds_only_the_kets_its_parameters_set(monkeypatch, scenario):
+    built = []
+    init = fock.FockState.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    params = models.SCENARIOS[scenario].params
+    angles = ProjectorAngles(0.3, 1.1) if models.BETA in params else None
+    detectors = DetectorModel(0.8) if models.ETA in params else None
+    monkeypatch.setattr(fock.FockState, "__init__", spy)
+    for _ in range(2):  # and nothing is kept for the next request
+        sweep(scenario, 11, angles, detectors)
+    assert len(built) == 2 * _KETS_A_SWEEP_BUILDS.get(scenario, 0), built
+
+
 OFFAXIS = ProjectorAngles(math.pi / 8, math.pi)
 PROPER = ProjectorAngles(math.pi / 4, 0.0)
 DELAY_SCENARIOS = (ScenarioId.HOM2, ScenarioId.HOM4_COINCIDENCE, ScenarioId.HOM4_BUNCHING)
