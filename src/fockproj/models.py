@@ -152,6 +152,18 @@ def _loss_closed(g, p):
     ) / 2.0
 
 
+def _deliberate_turns(p):
+    # p' = -(cos 2beta cos g + cos theta sin 2beta sin g) / 2 vanishes where tan g is their ratio
+    g = math.atan2(-math.cos(2.0 * p["beta"]), math.cos(p["theta"]) * math.sin(2.0 * p["beta"]))
+    return (g, g + math.pi)
+
+
+def _loss_turns(p):
+    # p is quadratic in cos g, with its vertex at cos g = -cos theta tan beta
+    vertex = -math.cos(p["theta"]) * math.tan(p["beta"])
+    return (math.acos(vertex),) if -1.0 <= vertex <= 1.0 else ()
+
+
 def _pair_coefficients(g):
     c, s = np.cos(g), np.sin(g)
     return [(c * c, _SQRT2 * c * s, s * s)]
@@ -177,6 +189,14 @@ def _intensity(g, p):
     field1 = c * math.cos(p["theta1"]) + s * math.sin(p["theta1"])
     field2 = c * math.cos(p["theta2"]) + s * math.sin(p["theta2"])
     return (p["amplitude"] / 2.0) ** 4 * field1 ** 2 * field2 ** 2
+
+
+def _intensity_turns(p):
+    # I ~ q^2 with q = cos(g - t1) cos(g - t2): q vanishes at t_i + pi/2 (mod pi), and
+    # q' = -sin(2g - t1 - t2) at (t1 + t2)/2 (mod pi/2); a far angle is reduced first
+    t1, t2 = (math.atan2(math.sin(p[name]), math.cos(p[name])) for name in ("theta1", "theta2"))
+    half, middle = math.pi / 2, (t1 + t2) / 2
+    return (t1 - half, t1 + half, t2 - half, t2 + half) + tuple(middle + k * half for k in range(-2, 3))
 
 
 def classical_intensity(
@@ -205,6 +225,8 @@ class ScenarioSpec(NamedTuple):
     whole form (eta^2 for two detectors).
     `closed_form(g, params)` is the independent analytic curve, on a float
     or an array of angles; it computes only the trigonometry it reads.
+    `stationary(params)` holds, solved from the closed form, the angles where the
+    curve's slope vanishes, at least those inside (0, pi/2); the ends need none.
     Classical light has no basis: its closed form is its only model, and
     its curve is an intensity, neither clamped nor range-guarded.
     """
@@ -218,6 +240,7 @@ class ScenarioSpec(NamedTuple):
     events: tuple = ()
     outcomes: Optional[Callable[[dict], list]] = None
     gain: Callable[[dict], float] = lambda p: 1.0
+    stationary: Callable[[dict], tuple] = lambda p: ()
 
 
 _PAIR_BASIS = ((2, 2, 0, 0), (2, 1, 0, 1), (2, 0, 0, 2))
@@ -235,6 +258,7 @@ SCENARIOS = {
         # two-per-path coincidence window
         transform=_DELAY,
         events=((2, 2, 0, 0), (2, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 2), (1, 1, 1, 1), (0, 2, 2, 0)),
+        stationary=lambda p: (math.asin(math.sqrt(1.0 / 3.0)),),  # sin^2 g = 1/3: the 5/24 dip
     ),
     ScenarioId.HOM4_BUNCHING: ScenarioSpec(
         (), _pair_bunching_closed, _PAIR_BASIS, _pair_coefficients,
@@ -244,13 +268,13 @@ SCENARIOS = {
     ScenarioId.SINGLE_DELIBERATE: ScenarioSpec(
         (BETA, THETA), _deliberate_closed,
         ((1, 0), (0, 1)), lambda g: [(np.cos(t := g / 2 + math.pi / 4), np.sin(t))],
-        outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])],
+        outcomes=lambda p: [single_photon_ket(p["beta"], p["theta"])], stationary=_deliberate_turns,
     ),
     ScenarioId.SINGLE_LOSS: ScenarioSpec(
         (BETA, THETA), _loss_closed,
         ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
         lambda g: [(_R2 * np.cos(g), np.full_like(g, _R2), _R2 * np.sin(g))],
-        outcomes=_loss_outcomes,
+        outcomes=_loss_outcomes, stationary=_loss_turns,
     ),
     ScenarioId.SINGLE_PHASE_NOISE: ScenarioSpec(
         (BETA, THETA),
@@ -260,15 +284,18 @@ SCENARIOS = {
     ),
     ScenarioId.TWO_PHOTON_POLARIZATION: ScenarioSpec(
         (), _polarization_closed, _POLARIZATION_BASIS, _polarization_coefficients,
-        outcomes=lambda p: [_XI],
+        outcomes=lambda p: [_XI], stationary=lambda p: (math.pi / 4,),
     ),
     ScenarioId.HOFMANN_CASCADE: ScenarioSpec(
         (ETA,),
         lambda g, p: 3.0 * p["eta"] * p["eta"] * _polarization_closed(g, p) / 8.0,
         _POLARIZATION_BASIS, _polarization_coefficients,
         outcomes=lambda p: [_CASCADE_OUTCOME], gain=lambda p: p["eta"] ** 2,
+        stationary=lambda p: (math.pi / 4,),
     ),
-    ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec((THETA1, THETA2, AMPLITUDE), _intensity),
+    ScenarioId.CLASSICAL_POLARIZATION: ScenarioSpec(
+        (THETA1, THETA2, AMPLITUDE), _intensity, stationary=_intensity_turns,
+    ),
 }
 
 #: scenarios backed by a Fock state or ensemble (everything but classical light)

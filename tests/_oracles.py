@@ -3,8 +3,9 @@
 The transition-amplitude oracle here goes through matrix permanents of
 row/column-repeated submatrices, a completely different route than the
 package's creation-operator expansion, so the two can validate each other.
-The analytic stationary points are solved by hand from the closed forms,
-independently of the Fourier roots that `analysis.sweep` reports.
+The analytic stationary points are solved by hand from the closed forms: a
+test-side copy of the `stationary` entries of the scenario table, which
+`analysis.sweep` reports from.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def test_json_output_mirrors_sweep_fields(capsys):
 
 
 def test_largest_amplitude_gives_a_finite_table_and_its_peak(capsys):
-    # (E0/2)^4 = 1e308: the Fourier coefficients overflow unless the samples are scaled first
+    # (E0/2)^4 = 1e308, the largest intensity: its tie width and its peak must stay finite
     code, out, _ = _run_capture(
         ["--scenario", "classical-polarization", "--amplitude", "2e77", "--format", "json"], capsys
     )

@@ -103,6 +103,14 @@ def test_phase_noise_gaussian_first_moment():
         assert abs(sum(w for w, _ in ens.members) - 1.0) < 1e-12
 
 
+def test_phase_noise_gaussian_first_moment_on_a_dense_grid():
+    # on 2,001 angles 17 nodes miss <cos phi> = cos gamma by at most 1.84e-9, and 15 by 9.6e-8
+    for g in [i * math.pi / 2 / 2000 for i in range(2001)]:
+        ens = models.single_phase_noise_gaussian(g)
+        moment = sum(w * s.amplitude((0, 1)).real * math.sqrt(2) for w, s in ens.members)
+        assert abs(moment - math.cos(g)) < 1e-8
+
+
 def test_two_photon_polarization_endpoints():
     assert models.two_photon_polarization(math.pi / 2).isclose(basis_ket((2, 0)), 1e-12)
     diag = models.two_photon_polarization(0.0)
