@@ -133,25 +133,24 @@ def classify_monotonicity(values: Sequence[float]) -> Verdict:
 _TIE = sys.float_info.epsilon  # stationary values closer than this share of the largest sample are equal
 
 
-def _extrema(curve, points, values: np.ndarray, gammas: np.ndarray, turns: list) -> tuple[Extremum, ...]:
-    """Per turn (j, k, rising) of the samples `values`, the most extreme of the stationary
-    `points` strictly inside [gammas[j], gammas[k + 1]], evaluated on `curve`; values within
-    _TIE times the largest |sample| are equal, and the lowest gamma of them wins, so that two
-    exact zeros are not told apart by rounding.  Endpoints are never reported."""
+def _extrema(points, at, values: np.ndarray, gammas: np.ndarray, turns: list) -> tuple[Extremum, ...]:
+    """Per turn (j, k, rising) of the samples `values`, the most extreme of the sorted stationary
+    `points`, whose curve values are `at`, strictly inside [gammas[j], gammas[k + 1]]; values
+    within _TIE times the largest |sample| are equal, and the lowest gamma of them wins, so that
+    two exact zeros are not told apart by rounding.  Endpoints are never reported, and nothing
+    is evaluated here: `sweep` reads `at` from the call that samples the grid."""
     if not (turns and points):
         return ()
-    x = sorted(points)
-    at = curve(np.array(x))[0].tolist()
     tie = _TIE * float(np.abs(values).max())
     found = []
     for j, k, rising in turns:
         lo, hi = gammas[j], gammas[k + 1]
-        inside = [i for i, g in enumerate(x) if lo < g < hi]
+        inside = [i for i, g in enumerate(points) if lo < g < hi]
         if inside:  # else the sampled turn is rounding: the curve has none there
             sign = 1.0 if rising else -1.0
             best = max(sign * at[i] for i in inside)
             i = next(i for i in inside if sign * at[i] >= best - tie)
-            found.append(Extremum(x[i], at[i], ExtremumKind.MAX if rising else ExtremumKind.MIN))
+            found.append(Extremum(points[i], at[i], ExtremumKind.MAX if rising else ExtremumKind.MIN))
     return tuple(found)
 
 
@@ -171,26 +170,27 @@ def sweep(
     theta2: Optional[float] = None,
     amplitude: Optional[float] = None,
 ) -> SweepResult:
-    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: the curve is compiled once,
-    called on the grid, and once more at the scenario's stationary points where it turns."""
+    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: the curve is compiled and
+    called once, on the grid followed by the scenario's stationary points, whose values the
+    extrema take."""
     if not (isinstance(steps, numbers.Integral) and 3 <= steps <= MAX_STEPS):
         raise ValueError(f"steps must be an integer in [3, {MAX_STEPS}], got {steps!r}")
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
-    grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
-    curve = projectors.scenario_curve(scenario, params)
-    values, overlap = curve(grid)
     spec = models.SCENARIOS[scenario]  # classical light: its curve is its closed form, no overlap
-    closed = values if overlap is None else spec.closed_form(grid, params)
+    points = sorted(spec.stationary(params))
+    grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
+    values, overlap = projectors.scenario_curve(scenario, params)(np.concatenate((grid, points)))
+    closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):
         column.flags.writeable = False  # and so every view of it, which cannot be made writeable again
-    verdict, turns = _scan(values)
+    verdict, turns = _scan(values[:steps])
     return SweepResult(
         scenario=scenario,
         gammas=grid[:],
-        probabilities=values[:],
+        probabilities=values[:steps],
         closed_forms=closed[:],
-        indistinguishability=None if overlap is None else overlap[:],
+        indistinguishability=None if overlap is None else overlap[:steps],
         verdict=verdict,
-        extrema=_extrema(curve, spec.stationary(params), values, grid, turns),
+        extrema=_extrema(points, values[steps:].tolist(), values[:steps], grid, turns),
         params=params,
     )

@@ -369,19 +369,19 @@ _GAUSSIAN_NODES = 17
 def single_phase_noise_gaussian(gamma: float) -> StateEnsemble:
     """Phase-noise mixture discretized from a wrapped Gaussian distribution on 17 nodes.
 
-    The spread sigma is chosen so the wrapped Gaussian reproduces the
-    two-point model's first moment, <cos(phi)> = cos(gamma).  Narrow
-    distributions use Gauss-Hermite nodes on the real line (equivalent to
-    the wrapped integral for any 2pi-periodic observable); wide ones
-    (cos(gamma) < e^{-4.5}) switch to uniformly spaced circle nodes
-    weighted by the wrapped density, which is exact once the density is a
-    low-degree trigonometric polynomial and degrades gracefully into the
-    uniform limit at gamma = pi/2.
+    The spread sigma is chosen so the wrapped Gaussian reproduces the two-point model's
+    first moment, <cos(phi)> = cos(gamma).  Narrow distributions use Gauss-Hermite nodes on
+    the real line (equivalent to the wrapped integral for any 2pi-periodic observable), whose
+    error grows with sigma; wide ones switch to uniformly spaced circle nodes weighted by the
+    wrapped density cut after its fourth harmonic, which degrades gracefully into the uniform
+    limit at gamma = pi/2.  The switch is where that cut is exact: the first harmonic it drops,
+    e^{-25 sigma^2/2}, falls below float epsilon at sigma^2 = -2 ln(eps)/25 ~ 2.88, taken up to
+    sigma^2 = 3 (cos(gamma) < e^{-1.5}), where every weight is still positive.
     """
     g = check_gamma(gamma)
     c = math.cos(g)
     sigma_sq = math.inf if c <= 0.0 else -2.0 * math.log(c)
-    if sigma_sq < 9.0:
+    if sigma_sq < 3.0:
         x, w = np.polynomial.hermite.hermgauss(_GAUSSIAN_NODES)
         phis = np.sqrt(2.0 * sigma_sq) * x
         weights = w / w.sum()

@@ -167,6 +167,8 @@ def test_normalize_zero_state_errors():
 def test_amplitude_pruning_drops_tiny_terms():
     state = FockState(2, {(1, 0): 1.0, (0, 1): 1e-16})
     assert len(state) == 1
+    # 1e-14 is ten times PRUNE_TOL = 1e-15, and stays; a tolerance of 1e-13 would drop it
+    assert len(FockState(1, {(0,): 1.0, (1,): 1e-14})) == 2
 
 
 def test_tensor_refuses_the_photon_bound_with_the_constructor_message():

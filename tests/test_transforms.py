@@ -144,6 +144,14 @@ def test_mode_unitary_rejects_non_unitary_matrix():
         ModeUnitary([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_mode_unitary_tolerance_sits_between_1e_13_and_1e_11():
+    # the largest |U^dag U - I| entry is 1e-13, then 1e-11: UNITARITY_TOL = 1e-12 accepts the
+    # first and refuses the second, where a hundred times either way would not
+    ModeUnitary([[1 + 5e-14, 0], [0, 1]])
+    with pytest.raises(ValueError, match="1.000e-11"):
+        ModeUnitary([[1 + 5e-12, 0], [0, 1]])
+
+
 def test_mode_unitary_composition_checks_dimension():
     with pytest.raises(DimensionMismatchError):
         identity(2) @ identity(3)
