@@ -90,7 +90,7 @@ def closed_form(
 ) -> float:
     """Analytic value of the measured curve, independent of the Fock engine."""
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
-    return float(models.SCENARIOS[scenario].closed_form(models.check_gamma(gamma), params))
+    return float(models.SCENARIOS[scenario].closed_form(models.GAMMA.check(gamma), params))
 
 
 def probability_function(
@@ -102,10 +102,11 @@ def probability_function(
     theta2: Optional[float] = None,
     amplitude: Optional[float] = None,
 ) -> Callable[[float], float]:
-    """Engine-evaluated probability of a scenario as a function of gamma."""
+    """Engine-evaluated probability of a scenario as a function of gamma; each call evaluates
+    the whole curve, its matrix A included, at one angle."""
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
-    curve = projectors.scenario_curve(scenario, params)
-    return lambda gamma: float(curve(np.array([models.check_gamma(gamma)]))[0][0])
+    return lambda gamma: float(
+        projectors.scenario_curve(scenario, params, np.array([models.GAMMA.check(gamma)]))[0][0])
 
 
 def _scan(values: np.ndarray) -> tuple[Verdict, list]:
@@ -155,7 +156,7 @@ def _extrema(points, at, values: np.ndarray, gammas: np.ndarray, turns: list) ->
 
 
 def find_extrema(result: SweepResult) -> tuple[Extremum, ...]:
-    """The interior extrema `sweep` found, `result.extrema`; nothing is compiled.  It stays
+    """The interior extrema `sweep` found, `result.extrema`; nothing is evaluated.  It stays
     only as a layer that the benchmark's span table (fockbench/spans.py) wraps by name."""
     return result.extrema
 
@@ -170,16 +171,16 @@ def sweep(
     theta2: Optional[float] = None,
     amplitude: Optional[float] = None,
 ) -> SweepResult:
-    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: the curve is compiled and
-    called once, on the grid followed by the scenario's stationary points, whose values the
-    extrema take."""
+    """Evaluate a scenario on a uniform gamma grid over [0, pi/2]: the curve is evaluated in one
+    call, on the grid followed by the scenario's stationary points, whose values the extrema
+    take."""
     if not (isinstance(steps, numbers.Integral) and 3 <= steps <= MAX_STEPS):
         raise ValueError(f"steps must be an integer in [3, {MAX_STEPS}], got {steps!r}")
     params = _params(scenario, angles, detectors, theta1, theta2, amplitude)
     spec = models.SCENARIOS[scenario]  # classical light: its curve is its closed form, no overlap
     points = sorted(spec.stationary(params))
     grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
-    values, overlap = projectors.scenario_curve(scenario, params)(np.concatenate((grid, points)))
+    values, overlap = projectors.scenario_curve(scenario, params, np.concatenate((grid, points)))
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):
         column.flags.writeable = False  # and so every view of it, which cannot be made writeable again

@@ -22,7 +22,6 @@ import numpy as np
 from . import transforms
 from .fock import FockState, StateEnsemble, basis_ket, fidelity, tensor
 
-GAMMA_MIN = 0.0
 GAMMA_MAX = math.pi / 2
 
 _R2 = 1.0 / math.sqrt(2.0)
@@ -45,13 +44,6 @@ class ScenarioId(enum.Enum):
     TWO_PHOTON_POLARIZATION = "two-photon-polarization"
     HOFMANN_CASCADE = "hofmann-cascade"
     CLASSICAL_POLARIZATION = "classical-polarization"
-
-
-def check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not GAMMA_MIN <= g <= GAMMA_MAX:
-        raise ValueError(f"gamma must lie in [0, pi/2], got {g}")
-    return g
 
 
 class Param(NamedTuple):
@@ -85,6 +77,8 @@ THETA2 = Param("theta2", -math.inf, math.inf, "(-inf, inf)", "second polarizer a
 AMPLITUDE = Param("amplitude", 0.0, 2e77, "[0, 2e77]", "classical field amplitude E0",
                   2.0)  # (E0/2)^4 stays finite
 PARAMETERS = (BETA, THETA, ETA, THETA1, THETA2, AMPLITUDE)
+# the distinguishability angle of every curve; no scenario parameter, so it has no CLI flag
+GAMMA = Param("gamma", 0.0, GAMMA_MAX, "[0, pi/2]", "distinguishability angle in radians")
 
 
 def single_photon_ket(beta: float, theta: float) -> FockState:
@@ -210,7 +204,7 @@ def classical_intensity(
     is not range-guarded.
     """
     t1, t2, amplitude = THETA1.check(theta1), THETA2.check(theta2), AMPLITUDE.check(field_amplitude)
-    return float(_intensity(check_gamma(gamma), dict(theta1=t1, theta2=t2, amplitude=amplitude)))
+    return float(_intensity(GAMMA.check(gamma), dict(theta1=t1, theta2=t2, amplitude=amplitude)))
 
 
 class ScenarioSpec(NamedTuple):
@@ -328,7 +322,7 @@ def scenario_state(scenario: ScenarioId, gamma: float):
     spec = SCENARIOS[scenario]
     if spec.coefficients is None:
         raise UnsupportedScenarioError(f"{scenario.value} has no quantum input state")
-    vectors = spec.coefficients(check_gamma(gamma))
+    vectors = spec.coefficients(GAMMA.check(gamma))
     members = [FockState(len(spec.basis[0]), zip(spec.basis, c)) for c in vectors]
     return members[0] if len(members) == 1 else StateEnsemble(zip(spec.weights, members))
 
@@ -378,7 +372,7 @@ def single_phase_noise_gaussian(gamma: float) -> StateEnsemble:
     e^{-25 sigma^2/2}, falls below float epsilon at sigma^2 = -2 ln(eps)/25 ~ 2.88, taken up to
     sigma^2 = 3 (cos(gamma) < e^{-1.5}), where every weight is still positive.
     """
-    g = check_gamma(gamma)
+    g = GAMMA.check(gamma)
     c = math.cos(g)
     sigma_sq = math.inf if c <= 0.0 else -2.0 * math.log(c)
     if sigma_sq < 3.0:

@@ -1,6 +1,6 @@
 """Measurement models: pure projections, coincidence event sums, loss
 marginalization, the proper interference projector, the two-detector
-cascade, and the compiled curve of every scenario in the table.
+cascade, and the curve of every scenario in the table on an array of angles.
 
 Raw probabilities are range-guarded, never clamped: a value outside
 [-1e-9, 1 + 1e-9] signals an algebra bug and raises instead of being
@@ -10,7 +10,7 @@ silently repaired.  Reporting-time clamping belongs to the output layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -203,8 +203,8 @@ _KETS = {
 }
 
 
-def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
-    """A scenario's measured curve on an array of angles, for checked `params`, returning
+def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tuple:
+    """A scenario's measured curve on the array `gammas`, for checked `params`, as
     (values, overlap).  A quantum curve is the range-guarded quadratic form
     gain * sum_w w sum_o |<o|U psi_w(g)>|^2 with its overlap sum_w w |<psi(0)|psi_w(g)>|^2;
     A[o, k] = <o|U b_k> is built here, from the constant kets in `_KETS`, the `lift` of its
@@ -212,28 +212,23 @@ def scenario_curve(scenario: ScenarioId, params: dict) -> Callable[..., tuple]:
     light has no state: its values are its closed form, its overlap None."""
     spec = models.SCENARIOS[scenario]
     if spec.coefficients is None:
-        return lambda gammas: (spec.closed_form(gammas, params), None)
+        return spec.closed_form(gammas, params), None
     kets, events, overlap_row = _KETS[scenario]
     if spec.transform is not None:
         kets = [transforms.lift(spec.transform, k) for k in kets]
     outcomes = events or spec.outcomes(params)
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
-    gain = spec.gain(params)
-
-    def curve(gammas: np.ndarray):
-        total = overlaps = None
-        for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
-            c = np.array(coefficients)
-            c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
-            amplitudes = a[:, 0, None] * c[0]  # A c without a BLAS call or a 3-d product
-            for k in range(1, len(c)):
-                amplitudes += a[:, k, None] * c[k]
-            squares = amplitudes.real**2 + amplitudes.imag**2
-            member, overlap = weight * squares[:-1].sum(axis=0), weight * squares[-1]
-            if total is None:
-                total, overlaps = member, overlap
-            else:
-                total, overlaps = total + member, overlaps + overlap
-        return _checked_probability(gain * total), _checked_probability(overlaps)
-
-    return curve
+    total = overlaps = None
+    for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
+        c = np.array(coefficients)
+        c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
+        amplitudes = a[:, 0, None] * c[0]  # A c without a BLAS call or a 3-d product
+        for k in range(1, len(c)):
+            amplitudes += a[:, k, None] * c[k]
+        squares = amplitudes.real**2 + amplitudes.imag**2
+        member, overlap = weight * squares[:-1].sum(axis=0), weight * squares[-1]
+        if total is None:
+            total, overlaps = member, overlap
+        else:
+            total, overlaps = total + member, overlaps + overlap
+    return _checked_probability(spec.gain(params) * total), _checked_probability(overlaps)

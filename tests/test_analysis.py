@@ -443,7 +443,7 @@ def test_the_engine_slope_vanishes_at_every_extremum(scenario):
         for steps in (3, 11, 101, 1001):
             result = _seeded_sweep(scenario, steps, seed)
             if result.extrema:
-                samples = projectors.scenario_curve(scenario, result.params)(NODES)[0]
+                samples = projectors.scenario_curve(scenario, result.params, NODES)[0]
                 c, top = _harmonics(samples), np.abs(samples).max()
                 for e in result.extrema:
                     assert abs(_slope(c, e.gamma)) <= 1e-13 * top
@@ -456,13 +456,13 @@ def test_the_overlap_never_turns_so_gamma_is_distinguishability_mirrored(scenari
     # a verdict or an extremum in gamma is then one in the overlap, read from the other end.
     # The overlap is even in g, so it is q(cos g) with deg q <= 4, as cos kg = T_k(cos g); its
     # slope -sin g q'(cos g) keeps one sign on [0, pi/2] when q' has no negative coefficient
-    curve = projectors.scenario_curve(scenario, _seeded_params(random.Random(f"axis:{scenario.value}"), scenario))
-    c = _harmonics(curve(NODES)[1])
+    params = _seeded_params(random.Random(f"axis:{scenario.value}"), scenario)
+    c = _harmonics(projectors.scenario_curve(scenario, params, NODES)[1])
     assert np.abs(c.imag).max() <= 1e-15 and np.abs(c[5:]).max() <= 1e-15
     q = np.polynomial.chebyshev.cheb2poly(np.concatenate(([c[0].real], 2 * c[1:5].real)))
     assert np.polynomial.polynomial.polyder(q).min() >= -1e-14
     grid = np.arange(MAX_STEPS) * (math.pi / 2) / (MAX_STEPS - 1)
-    assert np.diff(curve(grid)[1]).max() <= 0.0
+    assert np.diff(projectors.scenario_curve(scenario, params, grid)[1]).max() <= 0.0
 
 
 @pytest.mark.parametrize("steps", [101, 1001])
@@ -498,7 +498,7 @@ def test_the_fused_evaluation_is_the_curve_on_the_grid(scenario, steps):
     # evaluating the overlap row with the events must not move a bit of either column
     angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"fused:{scenario.value}"), scenario)
     result = sweep(scenario, steps, angles, detectors, **extra)
-    values, overlap = projectors.scenario_curve(scenario, result.params)(np.array(result.gammas))
+    values, overlap = projectors.scenario_curve(scenario, result.params, np.array(result.gammas))
     assert result.probabilities.tobytes() == values.tobytes()
     if scenario in models.QUANTUM_SCENARIOS:
         assert result.indistinguishability.tobytes() == overlap.tobytes()
@@ -567,9 +567,8 @@ def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value():
         assert minimum.kind is ExtremumKind.MIN
         assert abs(minimum.gamma - zero) < 1e-15
         ((lo, hi, _),) = _brackets(result)
-        curve = projectors.scenario_curve(result.scenario, result.params)
         x = sorted(models.SCENARIOS[result.scenario].stationary(result.params))
-        at = curve(np.array(x))[0].tolist()
+        at = projectors.scenario_curve(result.scenario, result.params, np.array(x))[0].tolist()
         inside, values = zip(*((g, v) for g, v in zip(x, at) if lo < g < hi))
         assert len(inside) == 3  # both zeros and the shallow peak between them
         assert minimum.gamma == inside[0]
@@ -642,7 +641,7 @@ def test_find_extrema_reads_the_sweep_without_compiling_a_curve(monkeypatch, sce
     result = sweep(scenario, 101, angles, detectors, **params)
 
     def refuse(*args):
-        raise AssertionError("find_extrema compiled a curve")
+        raise AssertionError("find_extrema evaluated a curve")
 
     monkeypatch.setattr(projectors, "scenario_curve", refuse)
     assert find_extrema(result) is result.extrema
@@ -657,7 +656,7 @@ def test_engine_oracle_and_closed_form_are_one_function_over_the_whole_interval(
     for seed in range(100):
         params = _seeded_sweep(scenario, 3, seed).params
         closed = spec.closed_form(NODES, params)
-        engine = projectors.scenario_curve(scenario, params)(NODES)[0]
+        engine = projectors.scenario_curve(scenario, params, NODES)[0]
         top = np.abs(engine).max()
         curves = [engine, closed]
         if scenario in models.QUANTUM_SCENARIOS:

@@ -257,7 +257,7 @@ def test_reference_coefficients_need_no_pruning(scenario):
 def test_the_prune_drops_the_rounding_of_cos_half_pi_and_keeps_1e_12():
     # cos(pi/2) is 6.1e-17, rounding that must give an overlap of exactly 0;
     # cos(pi/2 - 1e-12) is a real amplitude of 1e-12, whose square must survive
-    _, overlap = scenario_curve(ScenarioId.HOM2, {})(np.array([math.pi / 2 - 1e-12, math.pi / 2]))
+    _, overlap = scenario_curve(ScenarioId.HOM2, {}, np.array([math.pi / 2 - 1e-12, math.pi / 2]))
     assert 0.9e-24 < overlap[0] < 1.1e-24
     assert overlap[1] == 0.0
 
