@@ -111,13 +111,14 @@ def probability_function(
 
 def _scan(values: np.ndarray) -> tuple[Verdict, list]:
     """Verdict on sampled `values` and its turns (j, k, rising): steps j < k outside
-    +-MONOTONICITY_TOL with opposite signs and only flat steps between, rising if step j is."""
+    +-MONOTONICITY_TOL times the largest |sample| with opposite signs and only flat steps
+    between, rising if step j is."""
     if values.size < 3:
         raise ValueError("need at least 3 samples to classify monotonicity")
     if not np.isfinite(values).all():
         raise ValueError("cannot classify a curve with a sample that is not finite")
     diffs = values[1:] - values[:-1]
-    index = (np.abs(diffs) > MONOTONICITY_TOL).nonzero()[0]
+    index = (np.abs(diffs) > MONOTONICITY_TOL * np.abs(values).max()).nonzero()[0]
     up = diffs[index] > 0
     at = (up[1:] != up[:-1]).nonzero()[0]
     turns = list(zip(index[at].tolist(), index[at + 1].tolist(), up[at].tolist()))
@@ -126,7 +127,8 @@ def _scan(values: np.ndarray) -> tuple[Verdict, list]:
 
 
 def classify_monotonicity(values: Sequence[float]) -> Verdict:
-    """Verdict on a sampled curve: steps within +-MONOTONICITY_TOL count as flat; a non-finite
+    """Verdict on a sampled curve: steps within +-MONOTONICITY_TOL times the largest |sample|
+    count as flat, so that the verdict does not depend on the curve's scale; a non-finite
     sample raises."""
     return _scan(np.fromiter(values, dtype=float))[0]
 

@@ -629,6 +629,21 @@ def _seeded_sweep(scenario, steps, seed):
     return analysis.sweep(scenario, steps, angles, detectors, **p)
 
 
+def test_each_seeded_verdict_is_the_verdict_of_its_closed_form_column():
+    # the benchmark's gate refuses a curve whose verdict is not classify_monotonicity of its
+    # closed forms; checked on the share of seeded sweeps whose tables have recorded digests
+    checked = 0
+    for scenario in ScenarioId:
+        for seed in range(100):
+            for steps in (3, 11, 101, 1001):
+                if seed % (20 if steps == 1001 else 2) == 0:
+                    result = _seeded_sweep(scenario, steps, seed)
+                    assert result.verdict is analysis.classify_monotonicity(result.closed_forms), (
+                        scenario, seed, steps)
+                    checked += 1
+    assert checked == 1395
+
+
 @pytest.mark.parametrize("steps", [3, 11, 101, 1001])
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_every_cell_is_the_cell_of_its_sweep_value(scenario, steps):
