@@ -109,51 +109,50 @@ def probability_function(
         projectors.scenario_curve(scenario, params, np.array([models.GAMMA.check(gamma)]))[0][0])
 
 
-def _scan(values: np.ndarray) -> tuple[Verdict, list]:
-    """Verdict on sampled `values` and its turns (j, k, rising): steps j < k outside
-    +-MONOTONICITY_TOL times the largest |sample| with opposite signs and only flat steps
-    between, rising if step j is."""
+def _scan(values: np.ndarray) -> Verdict:
+    """Verdict on sampled `values`: steps outside +-MONOTONICITY_TOL times the largest |sample|
+    count, and a curve whose counted steps have both signs turns."""
     if values.size < 3:
         raise ValueError("need at least 3 samples to classify monotonicity")
     if not np.isfinite(values).all():
         raise ValueError("cannot classify a curve with a sample that is not finite")
     diffs = values[1:] - values[:-1]
-    index = (np.abs(diffs) > MONOTONICITY_TOL * np.abs(values).max()).nonzero()[0]
-    up = diffs[index] > 0
-    at = (up[1:] != up[:-1]).nonzero()[0]
-    turns = list(zip(index[at].tolist(), index[at + 1].tolist(), up[at].tolist()))
-    return (Verdict.NON_MONOTONIC if turns else Verdict.CONSTANT if not index.size
-            else Verdict.NON_DECREASING if up[0] else Verdict.NON_INCREASING), turns
+    up = diffs[np.abs(diffs) > MONOTONICITY_TOL * np.abs(values).max()] > 0
+    return (Verdict.CONSTANT if not up.size else Verdict.NON_MONOTONIC if up.any() != up.all()
+            else Verdict.NON_DECREASING if up[0] else Verdict.NON_INCREASING)
 
 
 def classify_monotonicity(values: Sequence[float]) -> Verdict:
     """Verdict on a sampled curve: steps within +-MONOTONICITY_TOL times the largest |sample|
     count as flat, so that the verdict does not depend on the curve's scale; a non-finite
     sample raises."""
-    return _scan(np.fromiter(values, dtype=float))[0]
+    return _scan(np.fromiter(values, dtype=float))
 
 
 _TIE = sys.float_info.epsilon  # stationary values closer than this share of the largest sample are equal
 
 
-def _extrema(points, at, values: np.ndarray, gammas: np.ndarray, turns: list) -> tuple[Extremum, ...]:
-    """Per turn (j, k, rising) of the samples `values`, the most extreme of the sorted stationary
-    `points`, whose curve values are `at`, strictly inside [gammas[j], gammas[k + 1]]; values
-    within _TIE times the largest |sample| are equal, and the lowest gamma of them wins, so that
-    two exact zeros are not told apart by rounding.  Endpoints are never reported, and nothing
-    is evaluated here: `sweep` reads `at` from the call that samples the grid."""
-    if not (turns and points):
-        return ()
-    tie = _TIE * float(np.abs(values).max())
-    found = []
-    for j, k, rising in turns:
-        lo, hi = gammas[j], gammas[k + 1]
-        inside = [i for i, g in enumerate(points) if lo < g < hi]
-        if inside:  # else the sampled turn is rounding: the curve has none there
-            sign = 1.0 if rising else -1.0
-            best = max(sign * at[i] for i in inside)
-            i = next(i for i in inside if sign * at[i] >= best - tie)
-            found.append(Extremum(points[i], at[i], ExtremumKind.MAX if rising else ExtremumKind.MIN))
+def _extrema(points, at, values: np.ndarray) -> tuple[Extremum, ...]:
+    """The turns of the exact curve, by a walk from (0, values[0]) through the sorted stationary
+    `points` strictly inside (0, pi/2), of values `at`, to (pi/2, values[-1]): the curve is
+    monotone between them.  With tol and tie MONOTONICITY_TOL and _TIE times the largest |sample|,
+    the first point more than tol from the start sets the direction and the candidate.  Rising, a
+    point more than tie above the candidate replaces it (the lowest gamma wins a tie), and one more
+    than tol below makes it a Max and is the candidate of the fall; falling mirrors this.  The last
+    candidate is not reported: an end, or a point passed without turning, is never an extremum."""
+    scale = float(np.abs(values).max())
+    tol, tie = MONOTONICITY_TOL * scale, _TIE * scale
+    start, sign, found = float(values[0]), 0.0, []
+    walk = [(g, v) for g, v in zip(points, at) if 0.0 < g < GAMMA_MAX] + [(GAMMA_MAX, float(values[-1]))]
+    for g, v in walk:
+        if not sign:
+            if abs(v - start) > tol:
+                sign, best = (1.0 if v > start else -1.0), (g, v)
+        elif sign * (v - best[1]) > tie:
+            best = (g, v)
+        elif sign * (best[1] - v) > tol:
+            found.append(Extremum(*best, ExtremumKind.MAX if sign > 0 else ExtremumKind.MIN))
+            sign, best = -sign, (g, v)
     return tuple(found)
 
 
@@ -186,7 +185,7 @@ def sweep(
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):
         column.flags.writeable = False  # and so every view of it, which cannot be made writeable again
-    verdict, turns = _scan(values[:steps])
+    verdict = _scan(values[:steps])
     return SweepResult(
         scenario=scenario,
         gammas=grid[:],
@@ -194,6 +193,7 @@ def sweep(
         closed_forms=closed[:],
         indistinguishability=None if overlap is None else overlap[:steps],
         verdict=verdict,
-        extrema=_extrema(points, values[steps:].tolist(), values[:steps], grid, turns),
+        extrema=_extrema(points, values[steps:].tolist(), values[:steps])
+        if verdict is Verdict.NON_MONOTONIC else (),
         params=params,
     )

@@ -218,7 +218,7 @@ def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tu
         kets = [transforms.lift(spec.transform, k) for k in kets]
     outcomes = events or spec.outcomes(params)
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
-    total = overlaps = None
+    total = overlaps = 0.0
     for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
         c = np.array(coefficients)
         c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
@@ -226,9 +226,5 @@ def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tu
         for k in range(1, len(c)):
             amplitudes += a[:, k, None] * c[k]
         squares = amplitudes.real**2 + amplitudes.imag**2
-        member, overlap = weight * squares[:-1].sum(axis=0), weight * squares[-1]
-        if total is None:
-            total, overlaps = member, overlap
-        else:
-            total, overlaps = total + member, overlaps + overlap
+        total, overlaps = total + weight * squares[:-1].sum(axis=0), overlaps + weight * squares[-1]
     return _checked_probability(spec.gain(params) * total), _checked_probability(overlaps)

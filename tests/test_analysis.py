@@ -11,6 +11,7 @@ from fockproj import (
     DetectorModel,
     ProjectorAngles,
     ScenarioId,
+    analysis,
     models,
     projectors,
     transforms,
@@ -175,7 +176,7 @@ def test_classify_monotonicity_verdicts():
     ],
 )
 def test_verdict_of_step_signs(signs, verdict):
-    assert _scan(np.cumsum([0.0, 0.0, 0.0] + signs))[0] is verdict
+    assert _scan(np.cumsum([0.0, 0.0, 0.0] + signs)) is verdict
 
 
 def test_classify_monotonicity_tolerance_absorbs_noise():
@@ -362,15 +363,86 @@ def _brackets(result, tol=1e-9):
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_every_bracket_yields_one_extremum_strictly_inside(scenario):
+    # the extrema are the exact curve's turns, so a coarse grid may miss some of them: each
+    # sampled bracket holds one of its kind, and Min and Max alternate
     rng = random.Random(f"brackets:{scenario.value}")
     for steps in (3, 11, 101, 1001):
         for _ in range(4):
             angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
             result = sweep(scenario, steps, angles, detectors, **params)
             brackets = _brackets(result)
-            assert len(result.extrema) == len(brackets)
-            for e, (lo, hi, kind) in zip(result.extrema, brackets):
-                assert e.kind is kind and lo < e.gamma < hi and 0.0 < e.gamma < math.pi / 2
+            assert len(result.extrema) >= len(brackets)
+            for lo, hi, kind in brackets:
+                assert any(e.kind is kind and lo < e.gamma < hi for e in result.extrema)
+            kinds = [e.kind for e in result.extrema]
+            assert all(a is not b for a, b in zip(kinds, kinds[1:]))
+            assert all(0.0 < e.gamma < math.pi / 2 for e in result.extrema)
+
+
+def test_extrema_do_not_depend_on_the_grid():
+    # the share of seeded sweeps that the digest test checks: a curve that turns at two or
+    # more step counts reports the same extrema at each
+    pairs = 0
+    for scenario in ScenarioId:
+        for seed in range(0, 100, 2):
+            found = [_seeded_sweep(scenario, steps, seed) for steps in (3, 11, 101, 1001)
+                     if steps < 1001 or seed % 20 == 0]
+            extrema = [r.extrema for r in found if r.verdict is Verdict.NON_MONOTONIC]
+            if len(extrema) >= 2:
+                assert all(e == extrema[0] for e in extrema), (scenario, seed)
+                pairs += 1
+    assert pairs == 236
+
+
+def _walk(curve, points, steps=101):
+    """`_extrema` of `curve` sampled on the sweep grid, with `points` and their curve values."""
+    grid = np.arange(steps) * models.GAMMA_MAX / (steps - 1)
+    return _extrema(points, [curve(g) for g in points], curve(grid))
+
+
+def test_a_stationary_point_between_two_monotone_legs_is_not_an_extremum():
+    # p' = 3 (g - 0.7)^2 has a double root at 0.7: the curve rises, flattens and rises on
+    assert _walk(lambda g: (g - 0.7) ** 3 + 1.0, [0.7]) == ()
+    assert _walk(lambda g: 1.0 - (g - 0.7) ** 3, [0.7]) == ()
+    # p' = 4 (g - 0.4)^2 (g - 1): the walk falls past 0.4 to the one turn, a Min at 1
+    (minimum,) = _walk(lambda g: (g - 0.4) ** 3 * (g - 1.2), [0.4, 1.0])
+    assert (minimum.gamma, minimum.kind) == (1.0, ExtremumKind.MIN)
+
+
+def test_the_walk_has_no_direction_until_a_point_leaves_the_start_by_more_than_the_tolerance():
+    # the largest sample is 1, so tol is 1e-9: a point 4e-10 above the start is not a rise, and
+    # the fall after it is no turn; 4e-9 above the start, it is a Max
+    values = np.array([1.0, 0.75, 0.5, 0.25])
+    assert _extrema([0.5], [1.0 + 4e-10], values) == ()
+    (peak,) = _extrema([0.5], [1.0 + 4e-9], values)
+    assert (peak.gamma, peak.kind) == (0.5, ExtremumKind.MAX)
+
+
+def test_the_ends_are_never_extrema():
+    # sin^2 g and cos^2 2g are stationary at both ends; the walk reads the end values from the
+    # samples, so a point at exactly 0 or pi/2 is not part of it, whatever its value
+    end = models.GAMMA_MAX
+    assert _walk(lambda g: np.sin(g) ** 2, [0.0, end]) == ()
+    (minimum,) = _walk(lambda g: np.cos(2.0 * g) ** 2, [0.0, math.pi / 4, end])
+    assert (minimum.gamma, minimum.kind) == (math.pi / 4, ExtremumKind.MIN)
+    samples = np.sin(np.linspace(0.0, end, 101)) ** 2
+    assert _extrema([0.0, end], [5.0, -5.0], samples) == ()
+    assert _extrema([0.0, 0.5, end], [-5.0, 0.2, 5.0], samples) == ()
+
+
+def test_a_turn_shallower_than_the_tolerance_is_dropped_and_the_lower_zero_kept():
+    # seed 45: two exact zeros 0.01 apart with a real peak of 5e-8 between them, under the
+    # tolerance of 1e-9 times the largest sample, 7.1e-8; every grid that turns gives one Min
+    for steps in (11, 101, 1001):
+        result = _seeded_sweep(ScenarioId.CLASSICAL_POLARIZATION, steps, 45)
+        x = sorted(g for g in models.SCENARIOS[result.scenario].stationary(result.params)
+                   if 0.0 < g < math.pi / 2)
+        at = projectors.scenario_curve(result.scenario, result.params, np.array(x))[0].tolist()
+        tol = 1e-9 * np.abs(result.probabilities).max()
+        assert len(x) == 3 and at[1] - max(at[0], at[2]) > 0.5 * tol
+        assert at[1] - max(at[0], at[2]) <= tol
+        (minimum,) = result.extrema
+        assert (minimum.gamma, minimum.value, minimum.kind) == (x[0], at[0], ExtremumKind.MIN)
 
 
 @pytest.mark.parametrize(
@@ -611,7 +683,7 @@ def test_close_polarizers_anywhere_give_one_minimum_on_their_cluster(d):
 HIDDEN_ZEROS = dict(theta1=1.9821824965123502, theta2=1.9771824965123502, amplitude=0.6532518923717097)
 
 
-def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value():
+def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value(monkeypatch):
     # both zeros are exact, so their values differ by rounding alone: values within _TIE times
     # the largest sample are equal and the lowest gamma wins; at NEAR_ZEROS the higher rounds lower
     for params, zero in ((HIDDEN_ZEROS, HIDDEN_ZEROS["theta2"] - math.pi / 2),
@@ -627,37 +699,33 @@ def test_a_bracket_hiding_two_zeros_reports_the_lowest_stationary_value():
         assert len(inside) == 3  # both zeros and the shallow peak between them
         assert minimum.gamma == inside[0]
         assert minimum.value - min(values) <= _TIE * np.abs(result.probabilities).max()
-        turns = _scan(result.probabilities)[1]
-        assert _extrema(x, at, result.probabilities, result.gammas, turns) == (minimum,)
-        (untied,) = _extrema(x, at, 0.0 * result.probabilities, result.gammas, turns)
+        assert _extrema(x, at, result.probabilities) == (minimum,)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_TIE", 0.0)
+            (untied,) = _extrema(x, at, result.probabilities)
         assert untied.value == min(values)  # with no tie width, the zero that rounds lower
 
 
 def test_a_stationary_value_lower_by_more_than_rounding_beats_a_lower_gamma():
     # the largest sample is 1: points 10 eps apart in value differ, and the lower value wins;
     # points eps/2 apart are one value, and the lower gamma wins
-    gammas, values = np.array([0.0, 0.5, 1.0, 1.5]), np.array([1.0, 0.5, 0.5, 1.0])
+    values = np.array([1.0, 0.5, 0.5, 1.0])
     for gap, expected in ((10 * sys.float_info.epsilon, 0.7), (sys.float_info.epsilon / 2, 0.6)):
-        (minimum,) = _extrema([0.6, 0.7], [gap, 0.0], values, gammas, [(0, 2, False)])
+        (minimum,) = _extrema([0.6, 0.7], [gap, 0.0], values)
         assert (minimum.gamma, minimum.kind) == (expected, ExtremumKind.MIN)
 
 
 def test_turns_of_rounding_noise_are_not_extrema():
     # cos(pi/2) ~ 6e-17: the curve is constant up to rounding, which tolerance 0 reads as turns;
-    # phase noise has no stationary point inside (0, pi/2), so no turn finds one
+    # phase noise has no stationary point inside (0, pi/2), so the walk has no turn to pass
     result = sweep(ScenarioId.SINGLE_PHASE_NOISE, 101, ProjectorAngles(0.3, math.pi / 2))
     assert result.verdict is Verdict.CONSTANT
     assert len(_brackets(result, tol=0.0)) > 10
-    diffs = np.diff(result.probabilities)
-    index = np.flatnonzero(diffs)
-    turns = [(j, k, bool(diffs[j] > 0)) for j, k in zip(index, index[1:])
-             if (diffs[j] > 0) != (diffs[k] > 0)]
-    assert turns
     assert models.SCENARIOS[result.scenario].stationary(result.params) == ()
-    assert _extrema([], [], result.probabilities, result.gammas, turns) == ()
-    # the ends are stationary, and never inside a bracket
+    assert _extrema([], [], result.probabilities) == ()
+    # the ends are stationary, and never extrema
     ends = [result.gammas[0], result.gammas[-1]], [result.probabilities[0], result.probabilities[-1]]
-    assert _extrema(*ends, result.probabilities, result.gammas, turns) == ()
+    assert _extrema(*ends, result.probabilities) == ()
 
 
 @pytest.mark.parametrize("steps", [3, 101, 1001])
