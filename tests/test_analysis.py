@@ -439,8 +439,7 @@ def test_a_turn_shallower_than_the_tolerance_is_dropped_and_the_lower_zero_kept(
                    if 0.0 < g < math.pi / 2)
         at = projectors.scenario_curve(result.scenario, result.params, np.array(x))[0].tolist()
         tol = 1e-9 * np.abs(result.probabilities).max()
-        assert len(x) == 3 and at[1] - max(at[0], at[2]) > 0.5 * tol
-        assert at[1] - max(at[0], at[2]) <= tol
+        assert len(x) == 3 and 0.5 * tol < at[1] - max(at[0], at[2]) <= tol
         (minimum,) = result.extrema
         assert (minimum.gamma, minimum.value, minimum.kind) == (x[0], at[0], ExtremumKind.MIN)
 
