@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import _oracles
-from test_cli import _python, _seeded_sweep
+from table_digests import checked_keys, seeded_sweep, sweep_of
+from test_cli import _python
 from fockproj import (
     DetectorModel,
     ProjectorAngles,
@@ -233,14 +234,6 @@ def _seeded_params(rng, scenario):
     }
 
 
-def _seeded_sweep_arguments(rng, scenario):
-    params = _seeded_params(rng, scenario)
-    beta, theta, eta = (params.pop(k, None) for k in ("beta", "theta", "eta"))
-    angles = None if beta is None else ProjectorAngles(beta, theta)
-    detectors = None if eta is None else DetectorModel(eta)
-    return angles, detectors, params
-
-
 def _deliberate_region(beta, theta):
     # p' vanishes inside (0, pi/2) where tan g = -cos 2beta / (cos theta sin 2beta) > 0
     q = math.cos(2.0 * beta) * math.cos(theta)
@@ -316,16 +309,17 @@ def test_non_monotonic_verdict_exactly_when_extrema_are_found(scenario):
     rng = random.Random(f"turns:{scenario.value}")
     for steps in (3, 11, 101):
         for _ in range(4):
-            angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
-            result = sweep(scenario, steps, angles, detectors, **params)
+            result = sweep_of(scenario, steps, _seeded_params(rng, scenario))
             assert (result.verdict is Verdict.NON_MONOTONIC) == bool(result.extrema)
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_sweep_closed_forms_match_the_scalar_closed_form(scenario):
     # the column is one call on the grid array, the scalar one call per gamma
-    angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"closed:{scenario.value}"), scenario)
-    result = sweep(scenario, 101, angles, detectors, **extra)
+    extra = _seeded_params(random.Random(f"closed:{scenario.value}"), scenario)
+    result = sweep_of(scenario, 101, extra)
+    angles = ProjectorAngles(extra.pop("beta"), extra.pop("theta")) if "beta" in extra else None
+    detectors = DetectorModel(extra.pop("eta")) if "eta" in extra else None
     intensity = scenario not in models.QUANTUM_SCENARIOS
     for gamma, column in zip(result.gammas, result.closed_forms):
         scalar = closed_form(scenario, gamma, angles, detectors, **extra)
@@ -368,8 +362,7 @@ def test_every_bracket_yields_one_extremum_strictly_inside(scenario):
     rng = random.Random(f"brackets:{scenario.value}")
     for steps in (3, 11, 101, 1001):
         for _ in range(4):
-            angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
-            result = sweep(scenario, steps, angles, detectors, **params)
+            result = sweep_of(scenario, steps, _seeded_params(rng, scenario))
             brackets = _brackets(result)
             assert len(result.extrema) >= len(brackets)
             for lo, hi, kind in brackets:
@@ -382,16 +375,15 @@ def test_every_bracket_yields_one_extremum_strictly_inside(scenario):
 def test_extrema_do_not_depend_on_the_grid():
     # the share of seeded sweeps that the digest test checks: a curve that turns at two or
     # more step counts reports the same extrema at each
-    pairs = 0
-    for scenario in ScenarioId:
-        for seed in range(0, 100, 2):
-            found = [_seeded_sweep(scenario, steps, seed) for steps in (3, 11, 101, 1001)
-                     if steps < 1001 or seed % 20 == 0]
-            extrema = [r.extrema for r in found if r.verdict is Verdict.NON_MONOTONIC]
-            if len(extrema) >= 2:
-                assert all(e == extrema[0] for e in extrema), (scenario, seed)
-                pairs += 1
-    assert pairs == 236
+    turning = {}
+    for scenario, seed, steps in checked_keys():
+        result = seeded_sweep(ScenarioId(scenario), steps, seed)
+        if result.verdict is Verdict.NON_MONOTONIC:
+            turning.setdefault((scenario, seed), []).append(result.extrema)
+    pairs = {key: extrema for key, extrema in turning.items() if len(extrema) >= 2}
+    for key, extrema in pairs.items():
+        assert all(e == extrema[0] for e in extrema), key
+    assert len(pairs) == 236
 
 
 def _walk(curve, points, steps=101):
@@ -434,7 +426,7 @@ def test_a_turn_shallower_than_the_tolerance_is_dropped_and_the_lower_zero_kept(
     # seed 45: two exact zeros 0.01 apart with a real peak of 5e-8 between them, under the
     # tolerance of 1e-9 times the largest sample, 7.1e-8; every grid that turns gives one Min
     for steps in (11, 101, 1001):
-        result = _seeded_sweep(ScenarioId.CLASSICAL_POLARIZATION, steps, 45)
+        result = seeded_sweep(ScenarioId.CLASSICAL_POLARIZATION, steps, 45)
         x = sorted(g for g in models.SCENARIOS[result.scenario].stationary(result.params)
                    if 0.0 < g < math.pi / 2)
         at = projectors.scenario_curve(result.scenario, result.params, np.array(x))[0].tolist()
@@ -458,8 +450,7 @@ def test_every_extremum_lies_on_an_analytic_stationary_point(scenario, bound):
     found = 0
     for steps in (3, 11, 101, 1001):
         for _ in range(25):
-            angles, detectors, params = _seeded_sweep_arguments(rng, scenario)
-            result = sweep(scenario, steps, angles, detectors, **params)
+            result = sweep_of(scenario, steps, _seeded_params(rng, scenario))
             analytic = _oracles.analytic_stationary_points(scenario.value, result.params)
             for e in result.extrema:
                 assert min(abs(e.gamma - x) for x in analytic) < bound
@@ -472,7 +463,7 @@ def test_single_deliberate_extrema_lie_within_rounding_of_the_analytic_turn():
     found = 0
     for seed in range(300):
         for steps in (3, 11, 101):
-            result = _seeded_sweep(ScenarioId.SINGLE_DELIBERATE, steps, seed)
+            result = seeded_sweep(ScenarioId.SINGLE_DELIBERATE, steps, seed)
             analytic = _oracles.analytic_stationary_points("single-deliberate", result.params)
             for e in result.extrema:
                 assert min(abs(e.gamma - x) for x in analytic) < 1.5e-15
@@ -566,7 +557,7 @@ def test_the_engine_slope_vanishes_at_every_extremum(scenario):
     found = 0
     for seed in range(100):
         for steps in (3, 11, 101, 1001):
-            result = _seeded_sweep(scenario, steps, seed)
+            result = seeded_sweep(scenario, steps, seed)
             if result.extrema:
                 samples = projectors.scenario_curve(scenario, result.params, NODES)[0]
                 c, top = _harmonics(samples), np.abs(samples).max()
@@ -621,8 +612,7 @@ def test_a_sweep_evaluates_its_scenario_once(monkeypatch, scenario, params, turn
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_the_fused_evaluation_is_the_curve_on_the_grid(scenario, steps):
     # evaluating the overlap row with the events must not move a bit of either column
-    angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"fused:{scenario.value}"), scenario)
-    result = sweep(scenario, steps, angles, detectors, **extra)
+    result = sweep_of(scenario, steps, _seeded_params(random.Random(f"fused:{scenario.value}"), scenario))
     values, overlap = projectors.scenario_curve(scenario, result.params, np.array(result.gammas))
     assert result.probabilities.tobytes() == values.tobytes()
     if scenario in models.QUANTUM_SCENARIOS:
@@ -636,8 +626,7 @@ def test_the_fused_evaluation_is_the_curve_on_the_grid(scenario, steps):
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_every_column_of_a_sweep_is_read_only(scenario):
     # the result is frozen and so is every column it holds, written whole, in a slice or in place
-    angles, detectors, extra = _seeded_sweep_arguments(random.Random(f"frozen:{scenario.value}"), scenario)
-    result = sweep(scenario, 11, angles, detectors, **extra)
+    result = sweep_of(scenario, 11, _seeded_params(random.Random(f"frozen:{scenario.value}"), scenario))
     columns = [result.gammas, result.probabilities, result.closed_forms, result.indistinguishability]
     assert (columns[-1] is None) == (scenario not in models.QUANTUM_SCENARIOS)
     columns = [c for c in columns if c is not None]
@@ -737,7 +726,7 @@ def test_a_sweep_needs_no_eigensolver_and_no_fft(monkeypatch, scenario, steps):
     for module, name in ((np.linalg, "eigvals"), (np.linalg, "eig"), (np.fft, "rfft")):
         monkeypatch.setattr(module, name, refuse)
     for seed in range(3):
-        for e in _seeded_sweep(scenario, steps, seed).extrema:
+        for e in seeded_sweep(scenario, steps, seed).extrema:
             assert 0.0 < e.gamma < math.pi / 2
 
 
@@ -758,8 +747,7 @@ def test_a_process_that_sweeps_and_renders_every_scenario_never_imports_numpy_ff
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_find_extrema_reads_the_sweep_without_compiling_a_curve(monkeypatch, scenario):
-    angles, detectors, params = _seeded_sweep_arguments(random.Random(f"read:{scenario.value}"), scenario)
-    result = sweep(scenario, 101, angles, detectors, **params)
+    result = sweep_of(scenario, 101, _seeded_params(random.Random(f"read:{scenario.value}"), scenario))
 
     def refuse(*args):
         raise AssertionError("find_extrema evaluated a curve")
@@ -775,7 +763,7 @@ def test_engine_oracle_and_closed_form_are_one_function_over_the_whole_interval(
     # [0, pi/2], not only on a grid; classical light's engine is its closed form, until it has one
     spec = models.SCENARIOS[scenario]
     for seed in range(100):
-        params = _seeded_sweep(scenario, 3, seed).params
+        params = seeded_sweep(scenario, 3, seed).params
         closed = spec.closed_form(NODES, params)
         engine = projectors.scenario_curve(scenario, params, NODES)[0]
         top = np.abs(engine).max()

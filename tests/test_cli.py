@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import random
 import stat
 import subprocess
 import sys
@@ -17,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockproj import DetectorModel, ProjectorAngles, analysis, cli, models
+from fockproj import ProjectorAngles, analysis, cli, models
 from fockproj.models import ScenarioId
 from fockproj.projectors import ProbabilityRangeError
+from table_digests import checked_keys, seeded_sweep, sweep_of
 
 
 def _run_capture(argv, capsys):
@@ -319,12 +319,13 @@ def test_a_closed_stdout_is_io_error(monkeypatch, capsys):
     assert err == "fockproj: cannot write output: stdout is closed\n"
 
 
-def _python(*argv, **kwargs):
-    """A child Python process that imports the fockproj under test."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _python(*argv, env=(), **kwargs):
+    """A child Python process that imports the fockproj under test and the scripts, with the
+    variables `env` added to its environment."""
+    paths = [Path(cli.__file__).resolve().parents[1], Path(__file__).resolve().parents[1] / "scripts"]
+    path = os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+                          env=dict(os.environ, **dict(env), PYTHONPATH=path), **kwargs)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
@@ -454,11 +455,9 @@ def test_bad_or_unused_flags_are_rejected_by_cli_and_library(scenario, flags, ca
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("fockproj: error: --")
     # the same values handed to the library, mapped as a seeded sweep maps them, are refused too
-    p = {name: float(value) for name, value in flags.items()}
     with pytest.raises(ValueError):
-        angles = ProjectorAngles(p.pop("beta"), p.pop("theta")) if "beta" in p else None
-        detectors = DetectorModel(p.pop("eta")) if "eta" in p else None
-        analysis.sweep(ScenarioId(scenario), analysis.DEFAULT_STEPS, angles, detectors, **p)
+        sweep_of(ScenarioId(scenario), analysis.DEFAULT_STEPS,
+                 {name: float(value) for name, value in flags.items()})
 
 
 @pytest.mark.parametrize(
@@ -619,29 +618,13 @@ def test_the_memo_is_bounded_and_skips_the_classical_column():
 # -- every cell against its sweep value, and the closed-form cell shortcut
 
 
-def _seeded_sweep(scenario, steps, seed):
-    """A sweep at parameters drawn from the scenario's ranges, cut to [-10, 10]."""
-    rng = random.Random(f"{scenario.value}:{seed}")
-    p = {q.name: rng.uniform(max(q.lo, -10.0), min(q.hi, 10.0))
-         for q in models.SCENARIOS[scenario].params}
-    angles = ProjectorAngles(p.pop("beta"), p.pop("theta")) if "beta" in p else None
-    detectors = DetectorModel(p.pop("eta")) if "eta" in p else None
-    return analysis.sweep(scenario, steps, angles, detectors, **p)
-
-
 def test_each_seeded_verdict_is_the_verdict_of_its_closed_form_column():
     # the benchmark's gate refuses a curve whose verdict is not classify_monotonicity of its
     # closed forms; checked on the share of seeded sweeps whose tables have recorded digests
-    checked = 0
-    for scenario in ScenarioId:
-        for seed in range(100):
-            for steps in (3, 11, 101, 1001):
-                if seed % (20 if steps == 1001 else 2) == 0:
-                    result = _seeded_sweep(scenario, steps, seed)
-                    assert result.verdict is analysis.classify_monotonicity(result.closed_forms), (
-                        scenario, seed, steps)
-                    checked += 1
-    assert checked == 1395
+    for scenario, seed, steps in checked_keys():
+        result = seeded_sweep(ScenarioId(scenario), steps, seed)
+        assert result.verdict is analysis.classify_monotonicity(result.closed_forms), (
+            scenario, seed, steps)
 
 
 @pytest.mark.parametrize("steps", [3, 11, 101, 1001])
@@ -650,7 +633,7 @@ def test_every_cell_is_the_cell_of_its_sweep_value(scenario, steps):
     # formats every value on its own, so a cell the renderer wrongly reuses shows here;
     # a result built by hand may hold tuples of floats, which must render the same bytes
     for seed in range(2):
-        result = _seeded_sweep(scenario, steps, seed)
+        result = seeded_sweep(scenario, steps, seed)
         tuples = dataclasses.replace(result, **{
             name: None if c is None else tuple(c.tolist())
             for name, c in ((name, getattr(result, name)) for name in cli._COLUMNS)})
