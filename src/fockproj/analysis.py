@@ -181,6 +181,7 @@ def sweep(
     spec = models.SCENARIOS[scenario]  # classical light: its curve is its closed form, no overlap
     points = sorted(spec.stationary(params))
     grid = np.arange(steps) * GAMMA_MAX / (steps - 1)
+    grid[-1] = GAMMA_MAX  # the product can land one ulp off it
     values, overlap = projectors.scenario_curve(scenario, params, np.concatenate((grid, points)))
     closed = values[:steps] if overlap is None else spec.closed_form(grid, params)
     for column in (c for c in (grid, values, closed, overlap) if c is not None):

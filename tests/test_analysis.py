@@ -154,6 +154,15 @@ def test_sweep_refuses_a_non_integer_steps():
     assert len(sweep(ScenarioId.HOM2, np.int64(11)).gammas) == 11
 
 
+def test_every_grid_ends_at_pi_over_2_exactly():
+    # i * GAMMA_MAX / (steps - 1) lands one ulp off pi/2 at the last point for 275 of these
+    # counts, 12 the first; closed_form refused the gamma above it
+    for steps in range(3, 2001):
+        gammas = sweep(ScenarioId.HOM2, steps).gammas
+        assert gammas[-1] == models.GAMMA_MAX, steps
+        closed_form(ScenarioId.HOM2, gammas[-1])
+
+
 def test_sweep_requires_angles_for_single_photon_scenarios():
     with pytest.raises(ValueError):
         sweep(ScenarioId.SINGLE_DELIBERATE, 11)
