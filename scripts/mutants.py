@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the tier-1 tests against one-line mutants of fockproj's numeric constants.
+"""Run the tier-1 tests against one-line mutants of fockproj's numeric constants and rules.
 
 The tracked tree is copied to a temporary directory once.  Each mutant then
 rewrites one line of one module there, the whole test suite runs on it, and
@@ -7,6 +7,17 @@ the line is put back.  A mutant is killed when a test fails; the script prints
 a kill table with the first failing test of each.  The unmutated copy runs
 first and must pass.  One suite run per mutant: this takes minutes.  The exit
 status is 1 when a mutant survives, so that CI can run it as a gate.
+
+Two one-line mutants are left out because they are equivalent, so no test can
+kill them:
+- `_loss_turns` with `-1.0 <= vertex <= 1.0` -> `<`: a vertex of +-1 gives
+  acos 0 or pi, which the walk of `analysis._extrema` never reads, as it takes
+  only points strictly inside (0, pi/2);
+- `_same_cells` with `r < 1e12` -> `<=`: r == 1e12 means that both numbers
+  print as the next power of ten, so the cells are the same either way.
+The choice of `np.iscomplexobj(c)` in `scenario_curve` changes bytes only
+where numpy's complex multiply fuses (an AVX2 or later loop); on a CPU that
+runs numpy's baseline loops its mutant below is equivalent too.
 
 Run from the repository root: python scripts/mutants.py
 """
@@ -36,6 +47,18 @@ MUTANTS = [
     ("Gaussian/circle switch 3.0 -> 5.0", "models.py", "sigma_sq < 3.0", "sigma_sq < 5.0"),
     ("_TIE x100", "analysis.py", "_TIE = sys.float_info.epsilon", "_TIE = 100 * sys.float_info.epsilon"),
     ("_TIE 0", "analysis.py", "_TIE = sys.float_info.epsilon", "_TIE = 0.0"),
+    ("_same_cells 0.49 -> 0.51", "cli.py", "< 0.49) & (np.abs(yb - r) < 0.49)",
+     "< 0.51) & (np.abs(yb - r) < 0.51)"),
+    ("_same_cells without the sign test", "cli.py", "return (np.signbit(a) == np.signbit(b)) & (",
+     "return ("),
+    ("_scan > tol -> >=", "analysis.py", "np.abs(diffs) > MONOTONICITY_TOL", "np.abs(diffs) >= MONOTONICITY_TOL"),
+    ("walk 0.0 < g -> <=", "analysis.py", "if 0.0 < g < GAMMA_MAX]", "if 0.0 <= g < GAMMA_MAX]"),
+    ("walk g < GAMMA_MAX -> <=", "analysis.py", "if 0.0 < g < GAMMA_MAX]", "if 0.0 < g <= GAMMA_MAX]"),
+    ("grid end not pinned", "analysis.py", "grid[-1] = GAMMA_MAX", "grid[-1] += 0.0"),
+    ("classical turns k -2..2 -> -1..1", "models.py", "for k in range(-2, 3)", "for k in range(-1, 2)"),
+    ("range guard >= lo -> > lo", "projectors.py", "values.min(initial=0.0) >= lo", "values.min(initial=0.0) > lo"),
+    ("prune <= PRUNE_TOL -> <", "projectors.py", "c[np.abs(c) <= fock.PRUNE_TOL]", "c[np.abs(c) < fock.PRUNE_TOL]"),
+    ("complex A c not split", "projectors.py", "if np.iscomplexobj(c):", "if False:"),
 ]
 
 

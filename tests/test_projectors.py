@@ -31,7 +31,7 @@ from fockproj import (
     two_photon_xi,
 )
 from fockproj.analysis import Verdict, classify_monotonicity, probability_function, sweep
-from fockproj.projectors import scenario_curve
+from fockproj.projectors import PROBABILITY_SLACK, _checked_probability, scenario_curve
 
 GRID_21 = [i * math.pi / 2 / 20 for i in range(21)]
 SQ2 = math.sqrt(2.0)
@@ -140,6 +140,17 @@ def test_the_range_guard_passes_rounding_above_one_and_no_more():
     assert event_sum(math.sqrt(1 + 5e-10) * basis_ket((1, 0, 0, 1)), events) > 1.0
     with pytest.raises(ProbabilityRangeError):
         event_sum(math.sqrt(1 + 2e-9) * basis_ket((1, 0, 0, 1)), events)
+
+
+def test_the_range_guard_passes_exactly_the_slack_at_either_end():
+    # the slack is inclusive: a raw -PROBABILITY_SLACK or 1 + PROBABILITY_SLACK passes, one ulp
+    # beyond either does not
+    lo, hi = -PROBABILITY_SLACK, 1.0 + PROBABILITY_SLACK
+    values = np.array([lo, 0.5, hi])
+    assert _checked_probability(lo) == lo and _checked_probability(values) is values
+    for value in (np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)):
+        with pytest.raises(ProbabilityRangeError):
+            _checked_probability(value)
 
 
 def test_single_photon_projector_examples():
@@ -260,6 +271,13 @@ def test_the_prune_drops_the_rounding_of_cos_half_pi_and_keeps_1e_12():
     _, overlap = scenario_curve(ScenarioId.HOM2, {}, np.array([math.pi / 2 - 1e-12, math.pi / 2]))
     assert 0.9e-24 < overlap[0] < 1.1e-24
     assert overlap[1] == 0.0
+
+
+def test_the_prune_drops_a_coefficient_of_exactly_its_tolerance():
+    # at g = 1e-15, sin g is PRUNE_TOL itself, which a FockState drops: hom2's coincidence is
+    # then exactly 0, where the unpruned coefficient would give 5e-31
+    assert math.sin(1e-15) == fock.PRUNE_TOL
+    assert scenario_curve(ScenarioId.HOM2, {}, np.array([1e-15]))[0][0] == 0.0
 
 
 # the projector |xi(beta, theta)> of a single-photon scenario, and for loss its two products
