@@ -15,9 +15,6 @@ kill them:
   only points strictly inside (0, pi/2);
 - `_same_cells` with `r < 1e12` -> `<=`: r == 1e12 means that both numbers
   print as the next power of ten, so the cells are the same either way.
-The choice of `np.iscomplexobj(c)` in `scenario_curve` changes bytes only
-where numpy's complex multiply fuses (an AVX2 or later loop); on a CPU that
-runs numpy's baseline loops its mutant below is equivalent too.
 
 Run from the repository root: python scripts/mutants.py
 """
@@ -58,7 +55,6 @@ MUTANTS = [
     ("classical turns k -2..2 -> -1..1", "models.py", "for k in range(-2, 3)", "for k in range(-1, 2)"),
     ("range guard >= lo -> > lo", "projectors.py", "values.min(initial=0.0) >= lo", "values.min(initial=0.0) > lo"),
     ("prune <= PRUNE_TOL -> <", "projectors.py", "c[np.abs(c) <= fock.PRUNE_TOL]", "c[np.abs(c) < fock.PRUNE_TOL]"),
-    ("complex A c not split", "projectors.py", "if np.iscomplexobj(c):", "if False:"),
 ]
 
 

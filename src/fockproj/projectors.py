@@ -222,16 +222,12 @@ def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tu
     for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
         c = np.array(coefficients)
         c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
-        if np.iscomplexobj(c):  # numpy's complex multiply fuses on some SIMD levels: split it
-            (ar, ai), (cr, ci), re, im = (a.real, a.imag), (c.real, c.imag), 0.0, 0.0
-            for k in range(len(c)):
-                re += ar[:, k, None] * cr[k] - ai[:, k, None] * ci[k]
-                im += ar[:, k, None] * ci[k] + ai[:, k, None] * cr[k]
-            squares = re**2 + im**2
-        else:
-            amplitudes = a[:, 0, None] * c[0]  # A c without a BLAS call or a 3-d product
-            for k in range(1, len(c)):
-                amplitudes += a[:, k, None] * c[k]
-            squares = amplitudes.real**2 + amplitudes.imag**2
+        # A c without a BLAS call or a 3-d product, from real and imaginary parts: numpy's
+        # complex multiply fuses with FMA on some SIMD levels and not on others
+        (ar, ai), (cr, ci), re, im = (a.real, a.imag), (c.real, c.imag), 0.0, 0.0
+        for k in range(len(c)):
+            re += ar[:, k, None] * cr[k] - ai[:, k, None] * ci[k]
+            im += ar[:, k, None] * ci[k] + ai[:, k, None] * cr[k]
+        squares = re**2 + im**2
         total, overlaps = total + weight * squares[:-1].sum(axis=0), overlaps + weight * squares[-1]
     return _checked_probability(spec.gain(params) * total), _checked_probability(overlaps)
