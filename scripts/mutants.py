@@ -8,13 +8,16 @@ a kill table with the first failing test of each.  The unmutated copy runs
 first and must pass.  One suite run per mutant: this takes minutes.  The exit
 status is 1 when a mutant survives, so that CI can run it as a gate.
 
-Two one-line mutants are left out because they are equivalent, so no test can
+Three one-line mutants are left out because they are equivalent, so no test can
 kill them:
 - `_loss_turns` with `-1.0 <= vertex <= 1.0` -> `<`: a vertex of +-1 gives
   acos 0 or pi, which the walk of `analysis._extrema` never reads, as it takes
   only points strictly inside (0, pi/2);
 - `_same_cells` with `r < 1e12` -> `<=`: r == 1e12 means that both numbers
-  print as the next power of ten, so the cells are the same either way.
+  print as the next power of ten, so the cells are the same either way;
+- `scenario_curve` never skipping a plane (`a.imag.any()` -> `True`, or the
+  same for `c`): a product of an all-zero plane is an exact +-0, whose sign
+  squaring erases, so the skip changes speed only.
 
 Run from the repository root: python scripts/mutants.py
 """
@@ -55,6 +58,8 @@ MUTANTS = [
     ("classical turns k -2..2 -> -1..1", "models.py", "for k in range(-2, 3)", "for k in range(-1, 2)"),
     ("range guard >= lo -> > lo", "projectors.py", "values.min(initial=0.0) >= lo", "values.min(initial=0.0) > lo"),
     ("prune <= PRUNE_TOL -> <", "projectors.py", "c[np.abs(c) <= fock.PRUNE_TOL]", "c[np.abs(c) < fock.PRUNE_TOL]"),
+    ("A's imaginary plane taken as zero", "projectors.py", "a.imag.any()", "False"),
+    ("c's imaginary plane taken as zero", "projectors.py", "np.iscomplexobj(c) and c.imag.any()", "False"),
 ]
 
 

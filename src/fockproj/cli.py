@@ -96,10 +96,15 @@ _CELL = "%.12g"  # every reported number: 12 significant digits
 _COLUMNS = ("gammas", "probabilities", "closed_forms", "indistinguishability")
 
 
+def _formatted(values) -> list[str]:
+    """`[_CELL % v for v in values]` in one `%` operation, as no cell holds a newline."""
+    return ("\n".join([_CELL] * len(values)) % tuple(values)).split("\n")
+
+
 @functools.lru_cache(maxsize=10)
 def _cells(column: bytes) -> tuple[str, ...]:
     """Cells of a column that grid and scenario alone set, keyed by bytes: -0.0 is not 0.0."""
-    return tuple(map(_CELL.__mod__, memoryview(column).cast("d")))
+    return tuple(_formatted(memoryview(column).cast("d")))
 
 
 def _same_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,7 +132,7 @@ def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
         None if c is None else np.asarray(c, float) for c in
         (result.gammas, result.probabilities, result.closed_forms, result.indistinguishability))
     probabilities = raw if overlap is None else raw.clip(0.0, 1.0)
-    cells = list(map(_CELL.__mod__, probabilities.tolist()))
+    cells = _formatted(probabilities.tolist())
     closed = cells.copy()
     if closed_forms.tobytes() != probabilities.tobytes():  # equal bytes (classical): all shared
         for i in (~_same_cells(probabilities, closed_forms)).nonzero()[0].tolist():

@@ -218,16 +218,20 @@ def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tu
         kets = [transforms.lift(spec.transform, k) for k in kets]
     outcomes = events or spec.outcomes(params)
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
-    total = overlaps = 0.0
+    (ar, ai), a_imag, total, overlaps = (a.real, a.imag), a.imag.any(), 0.0, 0.0
     for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
         c = np.array(coefficients)
         c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
         # A c without a BLAS call or a 3-d product, from real and imaginary parts: numpy's
-        # complex multiply fuses with FMA on some SIMD levels and not on others
-        (ar, ai), (cr, ci), re, im = (a.real, a.imag), (c.real, c.imag), 0.0, 0.0
+        # complex multiply fuses with FMA on some SIMD levels and not on others.  A product
+        # with an all-zero plane is an exact +-0, whose sign squaring erases: it is skipped
+        (cr, ci), re, im, c_imag = (c.real, c.imag), 0.0, 0.0, np.iscomplexobj(c) and c.imag.any()
         for k in range(len(c)):
-            re += ar[:, k, None] * cr[k] - ai[:, k, None] * ci[k]
-            im += ar[:, k, None] * ci[k] + ai[:, k, None] * cr[k]
+            rr = ar[:, k, None] * cr[k]
+            re += rr - ai[:, k, None] * ci[k] if a_imag and c_imag else rr
+            if a_imag or c_imag:
+                ri = ar[:, k, None] * ci[k] if c_imag else ai[:, k, None] * cr[k]
+                im += ri + ai[:, k, None] * cr[k] if a_imag and c_imag else ri
         squares = re**2 + im**2
         total, overlaps = total + weight * squares[:-1].sum(axis=0), overlaps + weight * squares[-1]
     return _checked_probability(spec.gain(params) * total), _checked_probability(overlaps)

@@ -5,7 +5,8 @@ row/column-repeated submatrices, a completely different route than the
 package's creation-operator expansion, so the two can validate each other.
 The analytic stationary points are solved by hand from the closed forms: a
 test-side copy of the `stationary` entries of the scenario table, which
-`analysis.sweep` reports from.
+`analysis.sweep` reports from.  The four-product curve is the reference for
+the bytes of `projectors.scenario_curve`, which skips products by zero.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 
 import numpy as np
 
-from fockproj import FockState, ModeUnitary
+from fockproj import FockState, ModeUnitary, fock, models, projectors, transforms
 
 
 def permanent(matrix) -> complex:
@@ -137,3 +138,26 @@ def analytic_stationary_points(scenario: str, p: dict) -> list:
         period = math.pi
     shifts = [x - period * math.floor(x / period) for x in base]  # into [0, pi)
     return sorted(x + k * period for x in shifts for k in (-1, 0, 1))
+
+
+def four_product_curve(scenario, params: dict, gammas: np.ndarray) -> tuple:
+    """`projectors.scenario_curve` without its range guard, and with every `A c` formed from
+    all four real products, re += ar*cr - ai*ci and im += ar*ci + ai*cr, whatever planes of
+    `A` and `c` are zero throughout."""
+    spec = models.SCENARIOS[scenario]
+    kets, events, overlap_row = projectors._KETS[scenario]
+    if spec.transform is not None:
+        kets = [transforms.lift(spec.transform, k) for k in kets]
+    outcomes = events or spec.outcomes(params)
+    a = np.array([[fock.inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
+    total = overlaps = 0.0
+    for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
+        c = np.array(coefficients)
+        c[np.abs(c) <= fock.PRUNE_TOL] = 0.0
+        (ar, ai), (cr, ci), re, im = (a.real, a.imag), (c.real, c.imag), 0.0, 0.0
+        for k in range(len(c)):
+            re += ar[:, k, None] * cr[k] - ai[:, k, None] * ci[k]
+            im += ar[:, k, None] * ci[k] + ai[:, k, None] * cr[k]
+        squares = re**2 + im**2
+        total, overlaps = total + weight * squares[:-1].sum(axis=0), overlaps + weight * squares[-1]
+    return spec.gain(params) * total, overlaps

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockproj import ProjectorAngles, analysis, cli, models
@@ -746,6 +746,32 @@ def _nearby_pairs(draw):
 def test_cells_called_the_same_print_the_same(pairs):
     a, b = zip(*pairs)
     _same(a, b)
+
+
+# -- the one-operation formatter
+
+_TINY = 2.2250738585072014e-308  # the least normal float: below it, the subnormals
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, math.nextafter(_TINY, 0.0), 1e-310, 1e-5, 1e16, 1e308,
+            -1e308, 1.0, -3.0, 2.0**53, 1e15 + 1.0, math.inf, -math.inf, math.nan)
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(), st.floats(-_TINY, _TINY),
+                    st.integers(-(2**63), 2**63).map(float))
+
+
+@st.composite
+def _columns(draw):
+    # a drawn run of floats, repeated or cut to one of three lengths
+    values = draw(st.lists(_FLOATS, min_size=1, max_size=30))
+    size = draw(st.sampled_from([1, len(values), 1001]))
+    return (values * size)[:size]
+
+
+@given(_columns())
+@example([-0.0])
+@example([5e-324])
+@example((list(_SPECIAL) * analysis.MAX_STEPS)[:analysis.MAX_STEPS])
+@settings(max_examples=300, deadline=None)
+def test_one_format_operation_gives_the_cell_of_each_value(values):
+    assert cli._formatted(values) == [cli._CELL % v for v in values]
 
 
 def test_non_finite_json_value_exits_with_code_3(monkeypatch, capsys):
