@@ -347,20 +347,18 @@ def test_compiled_curves_match_engine_composition(scenario, angles, detectors):
         assert abs(overlap - fidelity(reference, state)) < 1e-12
 
 
-# beta and theta at 0 and pi/2 or pi make the projector, and so A, real: theta = 0 leaves an
-# imaginary plane of signed zeros; eta = 0 zeroes the cascade
+# theta = 0 leaves A an imaginary plane of signed zeros, and theta = pi one of rounding residue;
+# beta at 0 or pi/2 zeroes a projector component, and eta = 0 the cascade
 _EDGES = ({"theta": 0.0}, {"theta": math.pi}, {"beta": 0.0}, {"beta": math.pi / 2}, {"eta": 0.0})
 
 
 @pytest.mark.parametrize("scenario", models.QUANTUM_SCENARIOS)
 def test_skipping_zero_planes_keeps_every_byte_of_the_four_product_curve(scenario):
     # a product of an all-zero plane of A or c is an exact +-0, and squaring erases its sign
-    names = [q.name for q in models.SCENARIOS[scenario].params]
-    draws = []
-    for seed in range(5):
-        rng = random.Random(f"{scenario.value}:{seed}")
-        draws.append({q.name: rng.uniform(q.lo, q.hi) for q in models.SCENARIOS[scenario].params})
-    draws += [dict(draws[0], **edge) for edge in _EDGES if edge.keys() <= set(names)]
+    params = models.SCENARIOS[scenario].params
+    draws = [{q.name: rng.uniform(q.lo, q.hi) for q in params}
+             for rng in (random.Random(f"{scenario.value}:{seed}") for seed in range(5))]
+    draws += [dict(draws[0], **edge) for edge in _EDGES if edge.keys() <= {q.name for q in params}]
     for steps in (3, 101, 1001):
         gammas = np.linspace(0.0, math.pi / 2, steps)
         for params in draws:
