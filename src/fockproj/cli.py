@@ -97,8 +97,8 @@ _COLUMNS = ("gammas", "probabilities", "closed_forms", "indistinguishability")
 
 
 def _formatted(values) -> list[str]:
-    """`[_CELL % v for v in values]` in one `%` operation, as no cell holds a newline."""
-    return ("\n".join([_CELL] * len(values)) % tuple(values)).split("\n")
+    """`[_CELL % v for v in values]` in one `%` operation, as no cell holds a line break."""
+    return ((_CELL + "\n") * len(values) % tuple(values)).splitlines()
 
 
 @functools.lru_cache(maxsize=10)
@@ -135,8 +135,9 @@ def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
     cells = _formatted(probabilities.tolist())
     closed = cells.copy()
     if closed_forms.tobytes() != probabilities.tobytes():  # equal bytes (classical): all shared
-        for i in (~_same_cells(probabilities, closed_forms)).nonzero()[0].tolist():
-            closed[i] = _CELL % closed_forms[i]
+        rows = (~_same_cells(probabilities, closed_forms)).nonzero()[0]
+        for i, cell in zip(rows.tolist(), _formatted(closed_forms[rows].tolist())):
+            closed[i] = cell
     columns = dict(zip(_COLUMNS, (_cells(gammas.tobytes()), cells, closed,
                                   None if overlap is None else _cells(overlap.tobytes()))))
     footer = dict(result.params, scenario=result.scenario.value, verdict=result.verdict.value,
@@ -146,17 +147,20 @@ def _table(result: analysis.SweepResult) -> tuple[dict, dict]:
 
 def render_csv(result: analysis.SweepResult) -> str:
     """Fixed-layout CSV: data rows, an empty cell where a column is undefined,
-    then '# key,value' footer lines with the keys sorted."""
+    then '# key,value' footer lines with the keys sorted; the text is one join of its pieces."""
     columns, footer = _table(result)
     gammas, probabilities, closed_forms, overlap = columns.values()
-    lines = ["gamma,probability,closed_form,indistinguishability"]
-    lines += map(",".join, zip(gammas, probabilities, closed_forms, overlap or [""] * len(gammas)))
+    text = ["", ",", "", ",", "", ",", "", "\n"] * len(gammas)  # the rows, cells slice-assigned
+    text[::8], text[2::8], text[4::8] = gammas, probabilities, closed_forms
+    if overlap is not None:
+        text[6::8] = overlap
+    text.insert(0, "gamma,probability,closed_form,indistinguishability\n")
     footer["extrema"] = ";".join(
         f"{e.kind.value}:{_CELL % e.gamma}:{_CELL % e.value}" for e in result.extrema
     ) or "none"
-    for key, value in sorted(footer.items()):
-        lines.append(f"# {key},{value if isinstance(value, str) else _CELL % value}")
-    return "\n".join(lines) + "\n"
+    text += (f"# {key},{value if isinstance(value, str) else _CELL % value}\n"
+             for key, value in sorted(footer.items()))
+    return "".join(text)
 
 
 def render_json(result: analysis.SweepResult) -> str:

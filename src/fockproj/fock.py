@@ -181,11 +181,11 @@ def inner_product(bra: FockState, ket: FockState) -> complex:
         raise DimensionMismatchError(
             f"bra has {bra.mode_count} modes, ket has {ket.mode_count}"
         )
-    ket_amps = ket._amps
-    return sum(
-        (amp.conjugate() * ket_amps[occ] for occ, amp in bra._amps.items() if occ in ket_amps),
-        0j,
-    )
+    ket_amps, total = ket._amps, 0j
+    for occ, amp in bra._amps.items():  # in the order, and so with the bytes, of sum(..., 0j)
+        if occ in ket_amps:
+            total += amp.conjugate() * ket_amps[occ]
+    return total
 
 
 def tensor(left: FockState, right: FockState) -> FockState:

@@ -218,7 +218,7 @@ def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tu
         kets = [transforms.lift(spec.transform, k) for k in kets]
     outcomes = events or spec.outcomes(params)
     a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
-    (ar, ai), a_imag, total, overlaps = (a.real, a.imag), a.imag.any(), 0.0, 0.0
+    (ar, ai), a_imag, total, overlaps = (a.real, a.imag), a.imag.any(), None, None
     for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
         c = np.array(coefficients)
         c[np.abs(c) <= fock.PRUNE_TOL] = 0.0  # as a FockState drops them
@@ -232,6 +232,10 @@ def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tu
             if a_imag or c_imag:
                 ri = ar[:, k, None] * ci[k] if c_imag else ai[:, k, None] * cr[k]
                 im += ri + ai[:, k, None] * cr[k] if a_imag and c_imag else ri
-        squares = re**2 + im**2
-        total, overlaps = total + weight * squares[:-1].sum(axis=0), overlaps + weight * squares[-1]
+        # x + 0.0, 0.0 + x and 1.0 * x are x for x >= +0, so none is formed: no im**2 for a real A c
+        squares = re**2 + im**2 if a_imag or c_imag else re**2
+        part, row = squares[:-1].sum(axis=0), squares[-1].copy()  # the overlap owns its data
+        if weight != 1.0:
+            part, row = weight * part, weight * row
+        total, overlaps = (part, row) if total is None else (total + part, overlaps + row)
     return _checked_probability(spec.gain(params) * total), _checked_probability(overlaps)

@@ -25,9 +25,10 @@ _FACTORIALS = [math.factorial(n) for n in range(PHOTON_BOUND + 1)]
 
 
 class ModeUnitary:
-    """Unitary matrix on mode creation operators (column convention)."""
+    """Unitary matrix on mode creation operators (column convention); `columns[i]` lists the
+    nonzero U[j, i] of column i as (j, U[j, i]), read by `lift`."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "columns")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -43,6 +44,8 @@ class ModeUnitary:
             )
         m.setflags(write=False)
         self.matrix = m
+        self.columns = tuple(tuple((j, u_ji) for j, u_ji in enumerate(column) if u_ji != 0)
+                             for column in m.T.tolist())
 
     @property
     def dimension(self) -> int:
@@ -98,12 +101,11 @@ def lift(u: ModeUnitary, state: FockState) -> FockState:
         )
     modes = state.mode_count
     vacuum = (0,) * modes
-    columns = [[(j, u_ji) for j, u_ji in enumerate(column) if u_ji != 0]  # the nonzero U[j, i]
-               for column in u.matrix.T.tolist()]
+    columns, factorial = u.columns, _FACTORIALS.__getitem__
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state._amps.items():
         # coefficient of the creation monomial for this ket
-        poly = {vacuum: amp / math.sqrt(math.prod(_FACTORIALS[n] for n in occ))}
+        poly = {vacuum: amp / math.sqrt(math.prod(map(factorial, occ)))}
         for mode, count in enumerate(occ):
             for _ in range(count):
                 grown: dict[tuple[int, ...], complex] = {}
@@ -113,6 +115,6 @@ def lift(u: ModeUnitary, state: FockState) -> FockState:
                         grown[key] = grown.get(key, 0j) + coeff * u_ji
                 poly = grown
         for expo, coeff in poly.items():
-            weight = coeff * math.sqrt(math.prod(_FACTORIALS[n] for n in expo))
+            weight = coeff * math.sqrt(math.prod(map(factorial, expo)))
             out[expo] = out.get(expo, 0j) + weight
     return FockState._raw(modes, out)

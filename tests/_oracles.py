@@ -6,7 +6,9 @@ package's creation-operator expansion, so the two can validate each other.
 The analytic stationary points are solved by hand from the closed forms: a
 test-side copy of the `stationary` entries of the scenario table, which
 `analysis.sweep` reports from.  The four-product curve is the reference for
-the bytes of `projectors.scenario_curve`, which skips products by zero.
+the bytes of `projectors.scenario_curve`, which skips products by zero.  The
+generator-based `lift` and `inner_product` and the per-row CSV assembly are the
+references for the bytes of the package's loop-based versions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 
 import numpy as np
 
-from fockproj import FockState, ModeUnitary, fock, models, projectors, transforms
+from fockproj import FockState, ModeUnitary, cli, fock, models, projectors, transforms
 
 
 def permanent(matrix) -> complex:
@@ -161,3 +163,55 @@ def four_product_curve(scenario, params: dict, gammas: np.ndarray) -> tuple:
         squares = re**2 + im**2
         total, overlaps = total + weight * squares[:-1].sum(axis=0), overlaps + weight * squares[-1]
     return spec.gain(params) * total, overlaps
+
+
+def lift_by_generators(u: ModeUnitary, state: FockState) -> FockState:
+    """`transforms.lift` with its columns rebuilt from `u.matrix` on every call and its
+    factorial products taken over generators."""
+    modes, factorials = state.mode_count, transforms._FACTORIALS
+    vacuum = (0,) * modes
+    columns = [[(j, u_ji) for j, u_ji in enumerate(column) if u_ji != 0]
+               for column in u.matrix.T.tolist()]
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in state._amps.items():
+        poly = {vacuum: amp / math.sqrt(math.prod(factorials[n] for n in occ))}
+        for mode, count in enumerate(occ):
+            for _ in range(count):
+                grown: dict[tuple[int, ...], complex] = {}
+                for expo, coeff in poly.items():
+                    for j, u_ji in columns[mode]:
+                        key = expo[:j] + (expo[j] + 1,) + expo[j + 1 :]
+                        grown[key] = grown.get(key, 0j) + coeff * u_ji
+                poly = grown
+        for expo, coeff in poly.items():
+            weight = coeff * math.sqrt(math.prod(factorials[n] for n in expo))
+            out[expo] = out.get(expo, 0j) + weight
+    return FockState._raw(modes, out)
+
+
+def inner_product_by_sum(bra: FockState, ket: FockState) -> complex:
+    """`fock.inner_product` as `sum` over a generator, started from 0j."""
+    ket_amps = ket._amps
+    return sum(
+        (amp.conjugate() * ket_amps[occ] for occ, amp in bra._amps.items() if occ in ket_amps),
+        0j,
+    )
+
+
+def csv_by_rows(result) -> str:
+    """`cli.render_csv` with every cell formatted on its own, one `","` join per row and one
+    `"\\n"` join of the lines; the footer values come from `cli._table`."""
+    _, footer = cli._table(result)
+    raw, overlap = np.asarray(result.probabilities), result.indistinguishability
+    columns = (result.gammas, raw if overlap is None else raw.clip(0.0, 1.0), result.closed_forms)
+    cells = [[cli._CELL % v for v in np.asarray(c, float).tolist()] for c in columns]
+    cells.append([""] * len(raw) if overlap is None
+                 else [cli._CELL % v for v in np.asarray(overlap, float).tolist()])
+    lines = ["gamma,probability,closed_form,indistinguishability"]
+    lines += map(",".join, zip(*cells))
+    footer["extrema"] = ";".join(
+        f"{e.kind.value}:{cli._CELL % e.gamma}:{cli._CELL % e.value}" for e in result.extrema
+    ) or "none"
+    for key, value in sorted(footer.items()):
+        lines.append(f"# {key},{value if isinstance(value, str) else cli._CELL % value}")
+    return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from fockproj import ProjectorAngles, analysis, cli, models
 from fockproj.models import ScenarioId
 from fockproj.projectors import ProbabilityRangeError
@@ -766,12 +767,35 @@ def _columns(draw):
 
 
 @given(_columns())
+@example([])
 @example([-0.0])
 @example([5e-324])
 @example((list(_SPECIAL) * analysis.MAX_STEPS)[:analysis.MAX_STEPS])
 @settings(max_examples=300, deadline=None)
 def test_one_format_operation_gives_the_cell_of_each_value(values):
     assert cli._formatted(values) == [cli._CELL % v for v in values]
+
+
+@pytest.mark.parametrize("steps", [3, 101, 1001])
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_one_join_gives_the_text_of_the_row_by_row_csv(scenario, steps):
+    for seed in (0, 1):
+        result = seeded_sweep(scenario, steps, seed)
+        assert cli.render_csv(result) == _oracles.csv_by_rows(result), seed
+
+
+def test_a_hand_built_result_with_no_extrema_gives_the_text_of_the_row_by_row_csv():
+    # clipped probabilities, closed forms that print apart from them, a -0.0 overlap, no extrema
+    column = lambda *values: np.array(values, float)
+    result = analysis.SweepResult(
+        ScenarioId.HOM2, column(0.0, 0.5, math.pi / 2), column(-1e-12, 0.25, 1.0 + 1e-12),
+        column(0.0, 0.25 + 1e-11, 5e-324), column(1.0, 0.5, -0.0), analysis.Verdict.NON_DECREASING,
+        (), {})
+    text = cli.render_csv(result)
+    assert text == _oracles.csv_by_rows(result)
+    assert "\n0,0,0,1\n0.5,0.25,0.25000000001,0.5\n1.57079632679,1,4.94065645841e-324,-0\n" in text
+    assert text.endswith("# extrema,none\n# max_closed_form_deviation,1\n# scenario,hom2\n"
+                         "# steps,3\n# verdict,NonDecreasing\n")
 
 
 def test_non_finite_json_value_exits_with_code_3(monkeypatch, capsys):

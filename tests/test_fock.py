@@ -1,8 +1,10 @@
 import cmath
 import math
+import random
 
 import pytest
 
+import _oracles
 from fockproj import (
     DimensionMismatchError,
     FockState,
@@ -11,6 +13,9 @@ from fockproj import (
     basis_ket,
     fidelity,
     inner_product,
+    lift,
+    models,
+    projectors,
     tensor,
 )
 
@@ -210,3 +215,23 @@ def test_repr_lists_at_most_six_terms():
         "FockState(2, {(0, 0): 0.25+0j, (1, 0): 0.25+0j, (2, 0): 0.25+0j, (3, 0): 0.25+0j, "
         "(4, 0): 0.25+0j, (5, 0): 0.25+0j, ...})"
     )
+
+
+def test_inner_product_keeps_every_bit_of_the_generator_sum():
+    # every product that fills a scenario's A, at seeded parameters, and random sparse pairs
+    pairs = []
+    for scenario in models.QUANTUM_SCENARIOS:
+        spec, rng = models.SCENARIOS[scenario], random.Random(f"inner:{scenario.value}")
+        kets, events, _ = projectors._KETS[scenario]
+        if spec.transform is not None:
+            kets = [lift(spec.transform, k) for k in kets]
+        outcomes = events or spec.outcomes({q.name: rng.uniform(max(q.lo, -10.0), min(q.hi, 10.0))
+                                            for q in spec.params})
+        pairs += [(o, k) for o in outcomes for k in kets]
+    rng = random.Random("inner:random")
+    for modes in (1, 2, 3, 4):
+        pairs += [(_oracles.random_state(rng, modes, 2), _oracles.random_state(rng, modes, 2))
+                  for _ in range(50)]
+    for bra, ket in pairs:
+        z, expected = inner_product(bra, ket), _oracles.inner_product_by_sum(bra, ket)
+        assert (z.real.hex(), z.imag.hex()) == (expected.real.hex(), expected.imag.hex())

@@ -169,3 +169,33 @@ def test_mode_unitary_repr_names_its_dimension():
 def test_beamsplitter_names_the_mode_it_refuses(modes, message):
     with pytest.raises(ValueError, match=message):
         beamsplitter_5050(*modes)
+
+
+# the unitaries whose lift is checked bit for bit against the generator-based reference
+_LIFTED = [models._DELAY, models.CASCADE_SPLIT, identity(3), polarization_rotation(0.0)] + [
+    _oracles.random_unitary(random.Random(f"lift:{i}"), 2 + i % 3) for i in range(10)]
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()  # -0.0 and 0.0 differ here
+
+
+@pytest.mark.parametrize("index", range(len(_LIFTED)))
+def test_stored_columns_are_the_nonzero_entries_of_each_column_in_order(index):
+    u = _LIFTED[index]
+    assert len(u.columns) == u.dimension
+    for i, column in enumerate(u.columns):
+        assert [j for j, _ in column] == np.flatnonzero(u.matrix[:, i]).tolist()
+        assert [_bits(u_ji) for _, u_ji in column] == [_bits(complex(u.matrix[j, i])) for j, _ in column]
+        assert all(type(u_ji) is complex for _, u_ji in column)
+
+
+@pytest.mark.parametrize("index", range(len(_LIFTED)))
+def test_lift_keeps_every_bit_of_the_generator_lift(index):
+    # every basis ket of up to four photons
+    u = _LIFTED[index]
+    for photons in range(5):
+        for occ in _oracles.compositions(photons, u.dimension):
+            ket = basis_ket(occ)
+            expected = [(o, _bits(a)) for o, a in _oracles.lift_by_generators(u, ket).items()]
+            assert [(o, _bits(a)) for o, a in lift(u, ket).items()] == expected, occ
