@@ -9,7 +9,9 @@ runs next.  A mutant that names no test runs the whole suite.  A mutant is
 killed when a test fails; the table gives the first failing test of each.  The
 unmutated copy runs first and must pass.  This takes minutes.  The exit status
 is 1 when a mutant survives, or when its own test does, so that CI can run it as
-a gate.
+a gate.  A pytest run that ends in exit 2 to 5 (interrupted, an internal error, a
+usage error such as a named test that does not exist, or no test collected)
+killed nothing: it stops the script with an error that names the mutant.
 
 Five one-line mutants are left out because they are equivalent, so no test can
 kill them:
@@ -108,17 +110,30 @@ MUTANTS = [
            _ANALYSIS + "test_every_column_of_a_sweep_is_read_only"),
     Mutant("format split at \\n, not by line", "cli.py", "% tuple(values)).splitlines()",
            '% tuple(values)).split("\\n")', _CLI + "test_one_format_operation_gives_the_cell_of_each_value"),
+    Mutant("AMPLITUDE ceiling 2e77 -> 3e77", "models.py", '5e-77, 2e77, "[', '5e-77, 3e77, "[',
+           _CLI + "test_the_amplitude_range_is_5e_77_to_2e77"),
+    Mutant("AMPLITUDE floor 5e-77 -> 4e-77", "models.py", '5e-77, 2e77, "[', '4e-77, 2e77, "[',
+           _CLI + "test_the_amplitude_range_is_5e_77_to_2e77"),
+    Mutant("AMPLITUDE floor 5e-77 -> 6e-77", "models.py", '5e-77, 2e77, "[', '6e-77, 2e77, "[',
+           _CLI + "test_the_amplitude_range_is_5e_77_to_2e77"),
+    Mutant("MAX_STEPS 100_001 -> 100_002", "analysis.py", "MAX_STEPS = 100_001", "MAX_STEPS = 100_002",
+           _CLI + "test_the_grid_cap_is_100001_points"),
+    Mutant("MAX_STEPS 100_001 -> 100_000", "analysis.py", "MAX_STEPS = 100_001", "MAX_STEPS = 100_000",
+           _CLI + "test_the_grid_cap_is_100001_points"),
 ]
 
 
 def first_failure(tree: Path, *tests: str) -> str:
     """The first failing test of `tests` (default: the whole suite) in `tree`, or "" when
-    every test passes."""
+    every test passes; RuntimeError when pytest ends in exit 2 to 5."""
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-rf", *tests],
         cwd=tree, env=env, capture_output=True, text=True,
     )
+    if 2 <= proc.returncode <= 5:  # interrupted, internal error, usage error (a test not found), none run
+        detail = proc.stderr.strip().splitlines()[:1] or proc.stdout.strip().splitlines()[-1:]
+        raise RuntimeError(f"pytest exit {proc.returncode}: {''.join(detail)}")
     failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     if proc.returncode and not failed:
         return f"pytest exit {proc.returncode}"
@@ -133,8 +148,11 @@ def main() -> None:
         for name in (f for f in files if (ROOT / f).is_file()):  # skip tracked files deleted here
             (tree / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, tree / name)
-        if first_failure(tree):
-            sys.exit("the unmutated tree fails its tests")
+        try:
+            if first_failure(tree):
+                sys.exit("the unmutated tree fails its tests")
+        except RuntimeError as error:
+            sys.exit(f"the unmutated tree: {error}")
         print(f"{'mutant':<36} {'result':<9} {'own test':<9} first failing test")
         survivors = own_survivors = 0
         for mutant in MUTANTS:
@@ -143,9 +161,12 @@ def main() -> None:
             if source.count(mutant.old) != 1:
                 sys.exit(f"{mutant.name}: {mutant.old!r} is not one line of {mutant.module}")
             path.write_text(source.replace(mutant.old, mutant.new))
-            failure = own = first_failure(tree, mutant.test) if mutant.test else ""
-            if not own:  # no test of its own, or one that let it live: the whole suite
-                failure = first_failure(tree)
+            try:
+                failure = own = first_failure(tree, mutant.test) if mutant.test else ""
+                if not own:  # no test of its own, or one that let it live: the whole suite
+                    failure = first_failure(tree)
+            except RuntimeError as error:  # a test that cannot run has killed nothing
+                sys.exit(f"{mutant.name}: {error}")
             path.write_text(source)
             own_result = "-" if not mutant.test else "killed" if own else "survived"
             print(f"{mutant.name:<36} {'killed' if failure else 'survived':<9} {own_result:<9} "

@@ -74,8 +74,10 @@ THETA1 = Param("theta1", -math.inf, math.inf, "(-inf, inf)", "first polarizer an
                0.0)
 THETA2 = Param("theta2", -math.inf, math.inf, "(-inf, inf)", "second polarizer angle in radians",
                math.pi / 4)
-AMPLITUDE = Param("amplitude", 0.0, 2e77, "[0, 2e77]", "classical field amplitude E0",
-                  2.0)  # (E0/2)^4 stays finite
+# over [0, pi/2] the peak of cos^2(g - t1) cos^2(g - t2) is at least 1/16 for every polarizer
+# pair, and the bound is tight: (E0/2)^4 stays finite up to 2e77, and the lowest peak
+# (E0/2)^4 / 16 stays a normal float from E0 = 2 (16 sys.float_info.min)^(1/4) = 4.885e-77
+AMPLITUDE = Param("amplitude", 5e-77, 2e77, "[5e-77, 2e77]", "classical field amplitude E0", 2.0)
 PARAMETERS = (BETA, THETA, ETA, THETA1, THETA2, AMPLITUDE)
 # the distinguishability angle of every curve; no scenario parameter, so it has no CLI flag
 GAMMA = Param("gamma", 0.0, GAMMA_MAX, "[0, pi/2]", "distinguishability angle in radians")

@@ -203,21 +203,27 @@ _KETS = {
 }
 
 
-def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tuple:
-    """A scenario's measured curve on the array `gammas`, for checked `params`, as
-    (values, overlap).  A quantum curve is the range-guarded quadratic form
-    gain * sum_w w sum_o |<o|U psi_w(g)>|^2 with its overlap sum_w w |<psi(0)|psi_w(g)>|^2;
-    A[o, k] = <o|U b_k> is built here, from the constant kets in `_KETS`, the `lift` of its
-    basis and the outcome kets that `params` set, with a last row, the overlap row.  Classical
-    light has no state: its values are its closed form, its overlap None."""
+def scenario_matrix(scenario: ScenarioId, params: dict) -> np.ndarray:
+    """A[o, k] = <o|U b_k> of a quantum scenario for checked `params`, from the constant kets
+    in `_KETS`: one row per outcome ket over the `lift` of its basis, then the overlap row."""
     spec = models.SCENARIOS[scenario]
-    if spec.coefficients is None:
-        return spec.closed_form(gammas, params), None
     kets, events, overlap_row = _KETS[scenario]
     if spec.transform is not None:
         kets = [transforms.lift(spec.transform, k) for k in kets]
     outcomes = events or spec.outcomes(params)
-    a = np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
+    return np.array([[inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
+
+
+def scenario_curve(scenario: ScenarioId, params: dict, gammas: np.ndarray) -> tuple:
+    """A scenario's measured curve on the array `gammas`, for checked `params`, as
+    (values, overlap).  A quantum curve is the range-guarded quadratic form
+    gain * sum_w w sum_o |<o|U psi_w(g)>|^2 with its overlap sum_w w |<psi(0)|psi_w(g)>|^2,
+    over the rows of `scenario_matrix`.  Classical light has no state: its values are its
+    closed form, its overlap None."""
+    spec = models.SCENARIOS[scenario]
+    if spec.coefficients is None:
+        return spec.closed_form(gammas, params), None
+    a = scenario_matrix(scenario, params)
     (ar, ai), a_imag, total, overlaps = (a.real, a.imag), a.imag.any(), None, None
     for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
         c = np.array(coefficients)

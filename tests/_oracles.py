@@ -5,10 +5,12 @@ row/column-repeated submatrices, a completely different route than the
 package's creation-operator expansion, so the two can validate each other.
 The analytic stationary points are solved by hand from the closed forms: a
 test-side copy of the `stationary` entries of the scenario table, which
-`analysis.sweep` reports from.  The four-product curve is the reference for
-the bytes of `projectors.scenario_curve`, which skips products by zero.  The
-generator-based `lift` and `inner_product` and the per-row CSV assembly are the
-references for the bytes of the package's loop-based versions.
+`analysis.sweep` reports from.  The oracle matrix is A[o, k] = <o|U b_k> by
+permanents, against `projectors.scenario_matrix`.  The four-product curve, over
+the engine's A, is the reference for the bytes of `projectors.scenario_curve`,
+which skips products by zero.  The generator-based `lift` and `inner_product`
+and the per-row CSV assembly are the references for the bytes of the package's
+loop-based versions.
 """
 
 from __future__ import annotations
@@ -142,16 +144,26 @@ def analytic_stationary_points(scenario: str, p: dict) -> list:
     return sorted(x + k * period for x in shifts for k in (-1, 0, 1))
 
 
+def oracle_matrix(scenario, params: dict) -> np.ndarray:
+    """A[o, k] = <o|U b_k> of a quantum scenario from permanent transition amplitudes, one row
+    per outcome ket and no overlap row, with no call into the package's `lift` or
+    `inner_product`; the cascade goes through its split itself rather than its pulled-back ket."""
+    spec = models.SCENARIOS[scenario]
+    basis, transform = spec.basis, spec.transform
+    outcomes = [fock.basis_ket(o) for o in spec.events] or spec.outcomes(params)
+    if scenario is models.ScenarioId.HOFMANN_CASCADE:
+        basis = [b + (0, 0) for b in basis]
+        transform, outcomes = models.CASCADE_SPLIT, [models.CASCADE_COINCIDENCE]
+    transform = transform or transforms.identity(len(basis[0]))
+    return np.array([[sum(amp.conjugate() * transition_amplitude(transform, b, occ)
+                          for occ, amp in o.items()) for b in basis] for o in outcomes])
+
+
 def four_product_curve(scenario, params: dict, gammas: np.ndarray) -> tuple:
     """`projectors.scenario_curve` without its range guard, and with every `A c` formed from
     all four real products, re += ar*cr - ai*ci and im += ar*ci + ai*cr, whatever planes of
     `A` and `c` are zero throughout."""
-    spec = models.SCENARIOS[scenario]
-    kets, events, overlap_row = projectors._KETS[scenario]
-    if spec.transform is not None:
-        kets = [transforms.lift(spec.transform, k) for k in kets]
-    outcomes = events or spec.outcomes(params)
-    a = np.array([[fock.inner_product(o, k) for k in kets] for o in outcomes] + [overlap_row])
+    spec, a = models.SCENARIOS[scenario], projectors.scenario_matrix(scenario, params)
     total = overlaps = 0.0
     for weight, coefficients in zip(spec.weights, spec.coefficients(gammas)):
         c = np.array(coefficients)

@@ -30,7 +30,6 @@ from fockproj.analysis import (
     probability_function,
     sweep,
 )
-from fockproj.fock import basis_ket
 
 OFFAXIS = ProjectorAngles(math.pi / 8, math.pi)
 
@@ -296,8 +295,8 @@ def _classical_region(theta1, theta2):
 def test_the_sampled_classical_verdict_is_non_monotonic_exactly_in_the_papers_region():
     # 1,500 seeded polarizer pairs, each candidate kept REGION_MARGIN from 0 and pi/2, with
     # amplitudes log-uniform over six decades: the verdict is the curve's, whatever its scale.
-    # Every draw turns, as q' vanishes once in each interval of length pi/2; with no field the
-    # curve is 0
+    # Every draw turns, as q' vanishes once in each interval of length pi/2; no field is refused,
+    # as its curve would be 0
     rng, count = random.Random("region:classical"), 0
     while count < 1500:
         theta1, theta2 = (rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(2))
@@ -308,8 +307,8 @@ def test_the_sampled_classical_verdict_is_non_monotonic_exactly_in_the_papers_re
             verdict = sweep(ScenarioId.CLASSICAL_POLARIZATION, 1001, **pair, amplitude=amplitude).verdict
             assert (verdict is Verdict.NON_MONOTONIC) == inside, (pair, amplitude)
             if count % 10 == 0:
-                dark = sweep(ScenarioId.CLASSICAL_POLARIZATION, 1001, **pair, amplitude=0.0)
-                assert dark.verdict is Verdict.CONSTANT
+                with pytest.raises(ValueError, match="amplitude"):
+                    sweep(ScenarioId.CLASSICAL_POLARIZATION, 1001, **pair, amplitude=0.0)
             count += 1
 
 
@@ -505,6 +504,19 @@ def test_close_classical_turns_lie_on_the_polarizer_zeros():
     assert abs(peak.gamma - middle) < 1e-12
 
 
+def test_the_lowest_peak_of_the_smallest_field_is_a_normal_float():
+    # q = cos(g - t1) cos(g - t2) = (cos(2g - t1 - t2) + cos(t1 - t2)) / 2 peaks at |q| = 1/4,
+    # the least of any pair, when t1 + t2 = pi/2 and t1 - t2 = 2pi/3: at 0, pi/4 and pi/2
+    amplitude = models.AMPLITUDE.lo
+    result = sweep(ScenarioId.CLASSICAL_POLARIZATION, 1001, theta1=7 * math.pi / 12,
+                   theta2=-math.pi / 12, amplitude=amplitude)
+    (peak,) = [e for e in result.extrema if e.kind is ExtremumKind.MAX]
+    assert abs(peak.gamma - math.pi / 4) < 1e-12
+    lowest = (amplitude / 2.0) ** 4 / 16.0
+    assert lowest >= sys.float_info.min and abs(peak.value - lowest) <= 1e-15 * lowest
+    assert abs(max(result.probabilities) - lowest) <= 1e-15 * lowest
+
+
 def test_a_far_polarizer_angle_keeps_gamma():
     # cos(g - 1e13) keeps about three digits of g; the same polarizer in (-pi, pi] keeps all
     reduced = math.atan2(math.sin(1e13), math.cos(1e13))
@@ -538,20 +550,21 @@ def _slope(c, g):
 
 
 def _oracle_curve(scenario, params):
-    """The curve on an array of angles by the permanent oracle: A[o, k] = <o|U b_k> from
-    transition amplitudes, through the cascade's split itself rather than its pulled-back ket."""
-    spec = models.SCENARIOS[scenario]
-    basis, transform = spec.basis, spec.transform
-    outcomes = [basis_ket(o) for o in spec.events] or spec.outcomes(params)
-    if scenario is ScenarioId.HOFMANN_CASCADE:
-        basis = [b + (0, 0) for b in basis]
-        transform, outcomes = models.CASCADE_SPLIT, [models.CASCADE_COINCIDENCE]
-    transform = transform or transforms.identity(len(basis[0]))
-    a = np.array([[sum(amp.conjugate() * _oracles.transition_amplitude(transform, b, occ)
-                       for occ, amp in o.items()) for b in basis] for o in outcomes])
+    """The curve on an array of angles over the permanent oracle's matrix A."""
+    spec, a = models.SCENARIOS[scenario], _oracles.oracle_matrix(scenario, params)
     gain = spec.gain(params)
     return lambda g: gain * sum(w * (np.abs(a @ np.array(c)) ** 2).sum(axis=0)
                                 for w, c in zip(spec.weights, spec.coefficients(g)))
+
+
+@pytest.mark.parametrize("scenario", models.QUANTUM_SCENARIOS)
+def test_the_engine_and_oracle_matrices_agree(scenario):
+    # the outcome rows of A by lift and inner products, and by permanents; the cascade's by its
+    # pulled-back ket, and through the split
+    for seed in range(50):
+        params = seeded_sweep(scenario, 3, seed).params
+        engine = projectors.scenario_matrix(scenario, params)[:-1]  # the overlap row is no outcome
+        assert np.abs(engine - _oracles.oracle_matrix(scenario, params)).max() <= 1e-15
 
 
 # every scenario but these three can turn inside (0, pi/2)

@@ -171,6 +171,29 @@ def test_json_output_mirrors_sweep_fields(capsys):
     assert payload["extrema"] == []
 
 
+def test_the_grid_cap_is_100001_points(capsys):
+    # literal, as `MAX_STEPS + 1` moves with the cap
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--scenario", "hom2", "--steps", "100002"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: --steps must lie in [3, 100001]\n")
+    assert len(analysis.sweep(ScenarioId.HOM2, 100001).gammas) == 100001
+
+
+def test_the_amplitude_range_is_5e_77_to_2e77(capsys):
+    # literal bounds: above 2e77 (E0/2)^4 overflows, and below 5e-77 the lowest peak
+    # (E0/2)^4 / 16 of a polarizer pair is no longer a normal float
+    for value in ("2.1e77", "4.9e-77"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--scenario", "classical-polarization", "--amplitude", value])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"fockproj: error: --amplitude must lie in [5e-77, 2e77], got {float(value)}\n")
+    code, out, _ = _run_capture(["--scenario", "classical-polarization", "--amplitude", "5e-77"], capsys)
+    assert code == cli.EXIT_OK
+    assert "\n# extrema,Max:0.392699081699:2.845911682e-307\n" in out  # (5e-77/2)^4 (1 + 2^-1/2)^2 / 4
+
+
 def test_largest_amplitude_gives_a_finite_table_and_its_peak(capsys):
     # (E0/2)^4 = 1e308, the largest intensity: its tie width and its peak must stay finite
     code, out, _ = _run_capture(
@@ -485,7 +508,7 @@ def test_every_float_spelling_is_a_flag_value(scenario, flag, value):
         ("theta1", "-inf", "--theta1 must lie in (-inf, inf), got -inf"),
         ("theta2", "-Infinity", "--theta2 must lie in (-inf, inf), got -inf"),
         ("theta1", "-nan", "--theta1 must lie in (-inf, inf), got nan"),
-        ("amplitude", "-1e-3", "--amplitude must lie in [0, 2e77], got -0.001"),
+        ("amplitude", "-1e-3", "--amplitude must lie in [5e-77, 2e77], got -0.001"),
     ],
 )
 def test_a_spaced_negative_value_gets_the_range_message(flag, value, message, capsys):
@@ -712,7 +735,7 @@ def test_zeros_subnormals_non_finite_and_opposite_signs_are_formatted_apart():
     assert shared == {(x, x) for x in values if not math.isnan(x)}
 
 
-@pytest.mark.parametrize("amplitude", [2.0, 0.0, 2e77])
+@pytest.mark.parametrize("amplitude", [2.0, 5e-77, 2e77])
 def test_every_classical_closed_form_cell_reuses_its_intensity_cell(amplitude):
     # the classical closed form is its engine, so the two columns are bitwise equal
     for steps in (3, 101, 1001):

@@ -23,9 +23,8 @@ import _oracles
 import numpy as np
 import pytest
 
-from fockproj import ProjectorAngles, analysis, models, transforms
+from fockproj import ProjectorAngles, analysis, models, projectors
 from fockproj.analysis import ExtremumKind, Verdict, classify_monotonicity
-from fockproj.fock import basis_ket, inner_product
 from fockproj.models import ScenarioId
 
 DELAY = (ScenarioId.HOM2, ScenarioId.HOM4_COINCIDENCE, ScenarioId.HOM4_BUNCHING)
@@ -38,15 +37,11 @@ CLASS_PROBABILITIES = {
 
 
 def _engine_amplitudes(scenario):
-    spec = models.SCENARIOS[scenario]
-    kets = [transforms.lift(spec.transform, basis_ket(b)) for b in spec.basis]
-    return np.array([[inner_product(basis_ket(o), k) for k in kets] for o in spec.events])
+    return projectors.scenario_matrix(scenario, {})[:-1]  # the event rows, not the overlap row
 
 
 def _oracle_amplitudes(scenario):
-    spec = models.SCENARIOS[scenario]
-    return np.array([[_oracles.transition_amplitude(spec.transform, b, o) for b in spec.basis]
-                     for o in spec.events])
+    return _oracles.oracle_matrix(scenario, {})
 
 
 def _class_probabilities(scenario):
@@ -115,9 +110,7 @@ SINGLE = (ScenarioId.SINGLE_DELIBERATE, ScenarioId.SINGLE_LOSS, ScenarioId.SINGL
 def _single_photon_parts(scenario, params, grid):
     """The population part (M's diagonal) and the interference part (its off-diagonal) of
     the curve on `grid`, each summed over the mixture members."""
-    spec = models.SCENARIOS[scenario]
-    a = np.array([[inner_product(o, basis_ket(b)) for b in spec.basis]
-                  for o in spec.outcomes(params)])
+    spec, a = models.SCENARIOS[scenario], projectors.scenario_matrix(scenario, params)[:-1]
     gram = spec.gain(params) * a.conj().T @ a
     diagonal = np.eye(len(gram), dtype=bool)
     population = interference = 0.0

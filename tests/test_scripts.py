@@ -1,7 +1,9 @@
+import ast
 import stat
 
 import pytest
 
+import mutants
 import table_digests
 from fockproj import analysis, cli
 from run_all_scenarios import main
@@ -141,3 +143,15 @@ def test_the_checked_tables_match_the_record_at_numpys_baseline_dispatch_level()
     proc = _python("-c", code, capture_output=True, env={"NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_mutant_names_one_line_and_a_test_that_exists():
+    # the mutants job takes minutes; an entry that drifted from the code fails here instead
+    for mutant in mutants.MUTANTS:
+        source = (mutants.ROOT / "src" / "fockproj" / mutant.module).read_text()
+        assert source.count(mutant.old) == 1, mutant.name
+        if mutant.test is not None:
+            path, _, name = mutant.test.partition("::")
+            tree = ast.parse((mutants.ROOT / path).read_text())
+            functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert name.split("[")[0] in functions, mutant.name
